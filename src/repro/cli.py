@@ -845,7 +845,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.obs import OpLogger
-    from repro.serve.fleet import ShardSupervisor, run_fleet
+    from repro.serve import ShardSupervisor, run_server
 
     supervisor = ShardSupervisor(
         shards=args.shards,
@@ -866,7 +866,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         if args.oplog else None,
     )
     asyncio.run(
-        run_fleet(
+        run_server(
             supervisor, args.host, args.port, metrics_out=args.metrics_out,
         )
     )

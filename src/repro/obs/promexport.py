@@ -13,6 +13,10 @@ module renders the *same* counters as Prometheus text exposition format
   upper bound is an ``le`` bound, counts are re-emitted cumulatively,
   and ``+Inf``/``_sum``/``_count`` are derived exactly.
 
+The fleet router's document (:data:`repro.obs.schema.FLEET_METRICS_SCHEMA`)
+has its own renderer; :func:`prometheus_from_metrics` picks one of the
+two by the document's ``schema`` tag.
+
 :func:`parse_prometheus_text` is the matching stdlib-only checker used
 by tests and the smoke job: it parses an exposition body back into
 samples and enforces the format's invariants (``TYPE`` before samples,
@@ -27,6 +31,7 @@ import re
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.metrics import bucket_range
+from repro.obs.schema import FLEET_METRICS_SCHEMA, SERVE_METRICS_SCHEMA
 
 #: Serve-service fields exposed as monotonic counters.
 SERVICE_COUNTERS = (
@@ -321,6 +326,23 @@ def prometheus_from_fleet_metrics(doc: Mapping[str, Any]) -> str:
                 f"{1 if shard.get('state') == 'up' else 0}"
             )
     return writer.render()
+
+
+def prometheus_from_metrics(doc: Mapping[str, Any]) -> str:
+    """Render a serve or fleet ``/metrics`` document as exposition text.
+
+    The renderer is picked by the document's ``schema`` tag, so the
+    HTTP front-end serves either backend's scrape without knowing which
+    one it is talking to.
+    """
+    renderers = {
+        SERVE_METRICS_SCHEMA: prometheus_from_serve_metrics,
+        FLEET_METRICS_SCHEMA: prometheus_from_fleet_metrics,
+    }
+    schema = doc.get("schema")
+    if schema not in renderers:
+        raise ValueError(f"no Prometheus renderer for schema {schema!r}")
+    return renderers[schema](doc)
 
 
 _NAME_RE = r"[a-zA-Z_:][a-zA-Z0-9_:]*"

@@ -17,13 +17,15 @@ Public surface:
 
 * :class:`BatchingService` — queue + batcher over one runner,
 * :class:`JobSpec` / :class:`JobRecord` — submissions and their lifecycle,
-* :class:`ServeApp` / :func:`run_server` — the asyncio HTTP front-end,
-* :class:`ServerThread` — in-process server for tests/benchmarks,
+* :class:`ShardSupervisor` — the supervised shard fleet (``cohort fleet``),
+* :class:`JsonHttpApp` / :func:`run_server` — the one asyncio HTTP
+  front-end and lifecycle, serving either backend (a
+  :class:`BatchingService` for ``cohort serve``, a
+  :class:`ShardSupervisor` for ``cohort fleet``),
+* :class:`ServerThread` / :class:`FleetThread` — the same lifecycle
+  in-process, for tests, benchmarks and the chaos and capacity soaks,
 * :class:`ServeClient` — synchronous stdlib client (``cohort submit``),
   with bounded retries for both backpressure and transient connections,
-* :class:`ShardSupervisor` / :class:`FleetApp` / :func:`run_fleet` —
-  the supervised shard fleet (``cohort fleet``),
-* :class:`FleetThread` — in-process fleet for tests and the chaos soak,
 * :class:`LoadGenerator` / :func:`arrival_schedule` /
   :func:`theta_population` — open-loop Poisson load generation for the
   capacity soak (``benchmarks/capacity_soak.py``),
@@ -50,14 +52,12 @@ from repro.serve.loadgen import (
 )
 from repro.serve.fleet import (
     CircuitBreaker,
-    FleetApp,
     FleetThread,
     HashRing,
     ShardSupervisor,
     WriteAheadJournal,
-    run_fleet,
 )
-from repro.serve.server import ServeApp, ServerThread, run_server
+from repro.serve.server import JsonHttpApp, ServerThread, run_server
 from repro.serve.service import (
     BatchingService,
     DrainingError,
@@ -73,16 +73,15 @@ __all__ = [
     "BatchingService",
     "CircuitBreaker",
     "DrainingError",
-    "FleetApp",
     "FleetThread",
     "HashRing",
     "JobRecord",
     "JobSpec",
     "JobSpecError",
+    "JsonHttpApp",
     "LoadGenerator",
     "LoadgenReport",
     "QueueFullError",
-    "ServeApp",
     "ServeClient",
     "ServeClientError",
     "ServeError",
@@ -90,7 +89,6 @@ __all__ = [
     "ShardSupervisor",
     "WriteAheadJournal",
     "arrival_schedule",
-    "run_fleet",
     "run_server",
     "theta_population",
 ]

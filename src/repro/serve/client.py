@@ -282,19 +282,15 @@ class ServeClient:
         job_ids: Sequence[str],
         *,
         include_result: bool = True,
-    ) -> Optional[Dict[str, Dict[str, Any]]]:
+    ) -> Dict[str, Dict[str, Any]]:
         """Batched status poll (``POST /jobs/poll``); id → record.
 
-        Returns ``None`` when the server predates the batch endpoint
-        (404/405), so callers can fall back to per-job ``GET``s.  An
-        unknown id raises, exactly like :meth:`job` would.
+        An unknown id raises, exactly like :meth:`job` would.
         """
         status, _, doc = self._request(
             "POST", "/jobs/poll",
             {"ids": list(job_ids), "include_result": include_result},
         )
-        if status in (404, 405):
-            return None
         if status != 200 or not isinstance(doc, dict):
             raise ServeClientError(f"jobs/poll returned {status}", status)
         unknown = doc.get("unknown") or []
@@ -315,10 +311,9 @@ class ServeClient:
         """Poll until every job is done or failed; id → final record.
 
         Jobs are polled in batches of ``poll_batch`` over
-        ``POST /jobs/poll`` (falling back to per-job ``GET``s against
-        older servers), and the ``timeout`` deadline is enforced before
-        *every* HTTP round-trip — never only between full passes, so
-        thousands of in-flight jobs cannot stretch one pass past the
+        ``POST /jobs/poll``, and the ``timeout`` deadline is enforced
+        before *every* HTTP round-trip — never only between full passes,
+        so thousands of in-flight jobs cannot stretch one pass past the
         deadline unnoticed.
         """
         if poll_batch < 1:
@@ -326,28 +321,14 @@ class ServeClient:
         deadline = time.monotonic() + timeout
         finished: Dict[str, Dict[str, Any]] = {}
         pending = list(job_ids)
-        batch_supported = True
         while pending:
             still_pending: List[str] = []
             for start in range(0, len(pending), poll_batch):
                 chunk = pending[start:start + poll_batch]
                 # Deadline first: the remainder of this pass is still
                 # pending by definition, so report all of it.
-                remaining = chunk + pending[start + poll_batch:]
-                self._check_wait_deadline(deadline, timeout, remaining)
-                records: Optional[Dict[str, Dict[str, Any]]] = None
-                if batch_supported:
-                    records = self.poll_jobs(chunk)
-                    if records is None:
-                        batch_supported = False
-                if records is None:
-                    records = {}
-                    for i, job_id in enumerate(chunk):
-                        self._check_wait_deadline(
-                            deadline, timeout,
-                            chunk[i:] + pending[start + poll_batch:],
-                        )
-                        records[job_id] = self.job(job_id)
+                self._check_wait_deadline(deadline, timeout, pending[start:])
+                records = self.poll_jobs(chunk)
                 for job_id in chunk:
                     record = records[job_id]
                     if record["status"] in ("done", "failed"):

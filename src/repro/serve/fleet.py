@@ -41,7 +41,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import signal
 import socket
 import subprocess
 import sys
@@ -55,7 +54,7 @@ import hashlib
 
 from repro.obs.ops import OpLogger
 from repro.obs.schema import FLEET_METRICS_SCHEMA, INTAKE_JOURNAL_SCHEMA
-from repro.serve.server import JsonHttpApp, _write_json_atomic, poll_jobs_route
+from repro.serve.server import LoopThread, read_headers
 from repro.serve.service import (
     DrainingError,
     JobSpec,
@@ -65,12 +64,10 @@ from repro.serve.service import (
 
 __all__ = [
     "CircuitBreaker",
-    "FleetApp",
     "FleetThread",
     "HashRing",
     "ShardSupervisor",
     "WriteAheadJournal",
-    "run_fleet",
 ]
 
 
@@ -123,19 +120,11 @@ async def _http_json(
             if len(parts) < 2 or not parts[1].isdigit():
                 raise ShardUnreachableError("malformed status line")
             status = int(parts[1])
-            length: Optional[int] = None
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                key, _, value = (
-                    line.decode("latin-1", "replace").partition(":")
-                )
-                if key.strip().lower() == "content-length":
-                    try:
-                        length = int(value)
-                    except ValueError:
-                        raise ShardUnreachableError("bad content-length")
+            reply_headers = await read_headers(reader)
+            try:
+                length = int(reply_headers.get("content-length", 0))
+            except ValueError:
+                raise ShardUnreachableError("bad content-length")
             payload = (
                 await reader.readexactly(length)
                 if length
@@ -552,6 +541,12 @@ class ShardSupervisor:
     intake journals.
     """
 
+    #: Names this backend in the ``cohort <command>:`` lines that
+    #: :func:`repro.serve.server.run_server` prints, and the oplog event
+    #: it logs once the router's front-end has closed.
+    command = "fleet"
+    exit_event = "fleet_exit"
+
     def __init__(
         self,
         *,
@@ -654,6 +649,8 @@ class ShardSupervisor:
         self.replayed_jobs = 0
         self.restarts_total = 0
         self.recovery_seconds: List[float] = []
+        #: ``(host, port)`` of the router's HTTP front-end once listening.
+        self.address: Optional[Tuple[str, int]] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -1306,9 +1303,10 @@ class ShardSupervisor:
             self.jobs_failed += 1
         shard = self.shards[record.shard]
         assert shard.journal is not None
-        # Retire from the journal that admitted the job — failover may
-        # have moved execution elsewhere, so check the admitting journal
-        # first, then the rest.
+        # Retire the job's admit record.  Check the journal of the
+        # shard that owns the job now first (the admitting one unless
+        # the job failed over), then the rest — a failed-over job's
+        # record stays in the admitting shard's journal.
         if not shard.journal.retire(record.id):
             for other in self.shards:
                 assert other.journal is not None
@@ -1392,7 +1390,7 @@ class ShardSupervisor:
             "shards": shards_doc,
         }
 
-    async def metrics_with_shards(self) -> Dict[str, Any]:
+    async def scrape(self) -> Dict[str, Any]:
         """The snapshot plus each live shard's own ``/metrics`` document.
 
         Aggregates the shards' runner cache counters (evictions,
@@ -1431,209 +1429,39 @@ class ShardSupervisor:
         doc["fleet"]["cache"].update(totals)
         return doc
 
+    def healthz(self) -> Dict[str, Any]:
+        """The ``GET /healthz`` document.
 
-# -- HTTP front-end ----------------------------------------------------------
-
-
-class FleetApp(JsonHttpApp):
-    """Routes HTTP requests onto one :class:`ShardSupervisor`.
-
-    Same wire contract as :class:`~repro.serve.server.ServeApp`
-    (``/healthz``, ``/metrics`` with Prometheus negotiation,
-    ``POST /jobs``, ``GET /jobs/<id>``) so :class:`ServeClient` and
-    ``cohort submit`` work against a fleet unchanged.
-    """
-
-    def __init__(self, supervisor: ShardSupervisor) -> None:
-        self.supervisor = supervisor
-
-    async def _handle_request(self, reader):  # type: ignore[override]
-        status, doc, extra = await super()._handle_request(reader)
-        # /metrics aggregation needs awaits (shard round-trips), which
-        # the sync _route cannot do; it marks the response instead.
-        if doc == "__fleet_metrics__":
-            from repro.obs.promexport import prometheus_from_fleet_metrics
-
-            snapshot = await self.supervisor.metrics_with_shards()
-            if extra.pop("__prometheus__", None):
-                return (
-                    200,
-                    prometheus_from_fleet_metrics(snapshot),
-                    {"Content-Type":
-                     "text/plain; version=0.0.4; charset=utf-8"},
-                )
-            return 200, snapshot, {}
-        return status, doc, extra
-
-    def _route(
-        self, method: str, target: str, body: bytes,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Any, Dict[str, str]]:
-        headers = headers or {}
-        path, _, query = target.partition("?")
-        sup = self.supervisor
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "method not allowed"}, {}
-            up = sup.shards_up
-            total = len(sup.shards)
-            status = (
-                "draining" if sup.draining
-                else "ok" if up == total
-                else "degraded" if up else "down"
-            )
-            return (
-                200,
-                {
-                    "status": status,
-                    "shards_up": up,
-                    "shards_total": total,
-                    "pending": sup._pending_count(),
-                },
-                {},
-            )
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "method not allowed"}, {}
-            extra: Dict[str, str] = {}
-            if self._wants_prometheus(query, headers):
-                extra["__prometheus__"] = "1"
-            return 200, "__fleet_metrics__", extra
-        if path == "/jobs":
-            if method != "POST":
-                return 405, {"error": "method not allowed"}, {}
-            from repro.obs.ops import new_trace_id, valid_trace_id
-
-            supplied = headers.get("x-trace-id")
-            trace_id = (
-                supplied if valid_trace_id(supplied) else new_trace_id()
-            )
-            # Coroutine: awaited by JsonHttpApp._handle_request (the
-            # supervisor's submit fsyncs journals off-loop).
-            return self._submit(body, trace_id)
-        if path == "/jobs/poll":
-            if method != "POST":
-                return 405, {"error": "method not allowed"}, {}
-            return poll_jobs_route(sup.get, body)
-        if path.startswith("/jobs/"):
-            if method != "GET":
-                return 405, {"error": "method not allowed"}, {}
-            record = sup.get(path[len("/jobs/"):])
-            if record is None:
-                return 404, {"error": "unknown job id"}, {}
-            return 200, record.to_dict(include_result=True), {}
-        return 404, {"error": f"no route for {path}"}, {}
-
-    async def _submit(
-        self, body: bytes, trace_id: str
-    ) -> Tuple[int, Any, Dict[str, str]]:
-        trace_headers = {"X-Trace-Id": trace_id}
-        try:
-            doc = json.loads(body or b"null")
-        except ValueError:
-            return (
-                400,
-                {"error": "request body is not valid JSON",
-                 "trace_id": trace_id},
-                trace_headers,
-            )
-        raw_specs = (
-            doc.get("jobs")
-            if isinstance(doc, dict) and "jobs" in doc
-            else [doc]
+        ``ok`` only while every shard is up, ``degraded`` while some
+        are, ``down`` while none are, ``draining`` once draining; the
+        status code is 200 in every case.
+        """
+        up = self.shards_up
+        total = len(self.shards)
+        status = (
+            "draining" if self.draining
+            else "ok" if up == total
+            else "degraded" if up else "down"
         )
-        if not isinstance(raw_specs, list):
-            return (
-                400,
-                {"error": '"jobs" must be a list of job specs',
-                 "trace_id": trace_id},
-                trace_headers,
-            )
-        sup = self.supervisor
-        try:
-            specs = [JobSpec.from_dict(raw) for raw in raw_specs]
-            records = await sup.submit(specs, trace_id=trace_id)
-        except JobSpecError as exc:
-            return (
-                400,
-                {"error": str(exc), "trace_id": trace_id},
-                trace_headers,
-            )
-        except QueueFullError as exc:
-            return (
-                429,
-                {"error": str(exc), "retry_after": exc.retry_after,
-                 "trace_id": trace_id},
-                {"Retry-After": f"{exc.retry_after}", **trace_headers},
-            )
-        except DrainingError as exc:
-            return (
-                503,
-                {"error": str(exc), "retry_after": sup.retry_after,
-                 "trace_id": trace_id},
-                {"Retry-After": f"{sup.retry_after}", **trace_headers},
-            )
-        return (
-            202,
-            {
-                "trace_id": trace_id,
-                "jobs": [r.to_dict(include_result=False) for r in records],
-            },
-            trace_headers,
+        return {
+            "status": status,
+            "shards_up": up,
+            "shards_total": total,
+            "pending": self._pending_count(),
+        }
+
+    # -- HTTP front-end lifecycle (repro.serve.server.run_server) -----------
+
+    def listening(self, host: str, port: int) -> str:
+        """Record the router's address; returns its banner text."""
+        self.address = (host, port)
+        self.oplog.emit(
+            "fleet_listening", host=host, port=port, shards=len(self.shards),
         )
+        return f"router on http://{host}:{port} ({len(self.shards)} shards)"
 
 
-async def run_fleet(
-    supervisor: ShardSupervisor,
-    host: str = "127.0.0.1",
-    port: int = 8780,
-    *,
-    metrics_out: Optional[str] = None,
-    install_signal_handlers: bool = True,
-    stop: Optional[asyncio.Event] = None,
-) -> int:
-    """Serve the fleet router until SIGTERM/SIGINT, then drain.
-
-    Mirrors :func:`repro.serve.server.run_server`: the listener stays
-    open while draining so clients can poll, submissions are refused,
-    shards drain and exit, and an optional final metrics snapshot is
-    written atomically.  Returns the port actually bound.
-    """
-    app = FleetApp(supervisor)
-    await supervisor.start()
-    server = await asyncio.start_server(app.handle_connection, host, port)
-    bound_port = server.sockets[0].getsockname()[1]
-    stop_event = stop if stop is not None else asyncio.Event()
-    if install_signal_handlers:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, stop_event.set)
-    print(
-        f"cohort fleet: router on http://{host}:{bound_port} "
-        f"({len(supervisor.shards)} shards)",
-        flush=True,
-    )
-    supervisor.oplog.emit(
-        "fleet_listening", host=host, port=bound_port,
-        shards=len(supervisor.shards),
-    )
-    await stop_event.wait()
-    print("cohort fleet: draining", flush=True)
-    await supervisor.drain()
-    if metrics_out:
-        _write_json_atomic(
-            metrics_out, await supervisor.metrics_with_shards()
-        )
-        print(f"cohort fleet: metrics snapshot -> {metrics_out}", flush=True)
-    server.close()
-    await server.wait_closed()
-    supervisor.oplog.emit("fleet_exit")
-    supervisor.oplog.close()
-    print("cohort fleet: drained, exiting", flush=True)
-    return bound_port
-
-
-class FleetThread:
+class FleetThread(LoopThread):
     """An in-process fleet router for tests and the chaos soak.
 
     The supervisor (and its real shard subprocesses) runs on an event
@@ -1642,73 +1470,18 @@ class FleetThread:
     kill.
     """
 
+    start_timeout = 120.0
+    stop_timeout = 120.0
+
     def __init__(
         self, *, host: str = "127.0.0.1", **supervisor_kwargs: Any
     ) -> None:
-        self.host = host
+        super().__init__(host, 0)
         self.supervisor_kwargs = supervisor_kwargs
         self.supervisor: Optional[ShardSupervisor] = None
-        self.port: Optional[int] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._thread: Optional[threading.Thread] = None
-        self._error: Optional[BaseException] = None
 
-    @property
-    def base_url(self) -> str:
-        if self.port is None:
-            raise RuntimeError("fleet not started")
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "FleetThread":
-        """Spawn the fleet loop; block until the router is listening."""
-        self._thread = threading.Thread(target=self._main, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=120):
-            raise RuntimeError("fleet thread did not start in time")
-        if self._error is not None:
-            raise RuntimeError(f"fleet thread failed: {self._error!r}")
-        return self
-
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:
-            self._error = exc
-            self._ready.set()
-
-    async def _amain(self) -> None:
+    def _make_backend(self) -> ShardSupervisor:
         self.supervisor = ShardSupervisor(
             host=self.host, **self.supervisor_kwargs
         )
-        app = FleetApp(self.supervisor)
-        await self.supervisor.start()
-        server = await asyncio.start_server(
-            app.handle_connection, self.host, 0
-        )
-        self.port = server.sockets[0].getsockname()[1]
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        self._ready.set()
-        await self._stop.wait()
-        await self.supervisor.drain()
-        server.close()
-        await server.wait_closed()
-
-    def stop(self, timeout: float = 120.0) -> None:
-        """Drain the fleet, stop the loop and join the thread."""
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            if self._thread.is_alive():
-                raise RuntimeError("fleet thread did not drain in time")
-        if self._error is not None:
-            raise RuntimeError(f"fleet thread failed: {self._error!r}")
-
-    def __enter__(self) -> "FleetThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+        return self.supervisor

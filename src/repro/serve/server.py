@@ -1,11 +1,15 @@
-"""The JSON-over-HTTP front-end of ``cohort serve``.
+"""The JSON-over-HTTP front-end of ``cohort serve`` and ``cohort fleet``.
 
 A deliberately small HTTP/1.1 server on ``asyncio.start_server`` — no
-third-party framework, one request per connection, JSON in and out:
+third-party framework, one request per connection, JSON in and out.
+One :class:`JsonHttpApp` serves the same routes over either backend, a
+:class:`~repro.serve.service.BatchingService` (``cohort serve``) or a
+:class:`~repro.serve.fleet.ShardSupervisor` (``cohort fleet``):
 
-* ``GET /healthz`` — liveness + drain state,
-* ``GET /metrics`` — a :data:`repro.obs.SERVE_METRICS_SCHEMA` snapshot
-  (service queue/batch counters + ``SweepRunner.telemetry()``);
+* ``GET /healthz`` — liveness + drain state (the backend's document),
+* ``GET /metrics`` — the backend's snapshot, tagged
+  :data:`repro.obs.SERVE_METRICS_SCHEMA` (service queue/batch counters +
+  ``SweepRunner.telemetry()``) or :data:`repro.obs.FLEET_METRICS_SCHEMA`;
   ``?format=prometheus`` (or an ``Accept: text/plain`` scrape header)
   selects the Prometheus text exposition of the same counters instead,
 * ``POST /jobs`` — submit ``{"jobs": [spec, …]}`` (or one bare spec);
@@ -19,9 +23,12 @@ third-party framework, one request per connection, JSON in and out:
 * ``POST /jobs/poll`` — poll many jobs in one round-trip
   (``{"ids": [...], "include_result": bool}``).
 
+:func:`run_server` is the one lifecycle of both commands.
 ``SIGTERM``/``SIGINT`` trigger a graceful drain: submissions are
-refused, queued and in-flight batches finish, final metrics/trace
+refused, queued and in-flight work finishes, final metrics/trace
 snapshots are optionally written (atomically), then the server exits 0.
+:class:`LoopThread` runs the same lifecycle in-process for tests and
+benchmarks.
 """
 
 from __future__ import annotations
@@ -32,11 +39,12 @@ import os
 import signal
 import tempfile
 import threading
+import time
 import urllib.parse
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.ops import new_trace_id, valid_trace_id
-from repro.obs.promexport import prometheus_from_serve_metrics
+from repro.obs.promexport import prometheus_from_metrics
 from repro.runner import SweepRunner
 from repro.serve.service import (
     BatchingService,
@@ -52,6 +60,11 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: Largest accepted request body (a trace-free job spec is tiny).
 MAX_BODY_BYTES = 8 << 20
 
+#: Seconds a client gets to send the request head (request line and
+#: headers), and again to send the body; a client that stalls gets a
+#: 400 instead of holding the connection open.
+REQUEST_TIMEOUT = 30.0
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -66,14 +79,17 @@ _REASONS = {
 
 
 class JsonHttpApp:
-    """Minimal HTTP/1.1-over-asyncio plumbing shared by the serving apps.
+    """Routes HTTP requests onto one serving backend.
 
-    Subclasses implement :meth:`_route`; everything about reading one
-    request, bounding its body, and writing the JSON (or pre-rendered
-    text) response lives here.  :class:`ServeApp` routes onto one
-    :class:`BatchingService`; ``repro.serve.fleet.FleetApp`` routes onto
-    a shard supervisor.
+    The backend is a :class:`BatchingService` or a
+    :class:`~repro.serve.fleet.ShardSupervisor`; the app uses only
+    ``healthz()``, ``scrape()`` (the ``/metrics`` document), ``get``,
+    ``retry_after`` and ``submit`` (a coroutine on the fleet, which
+    fsyncs its intake journals off-loop).
     """
+
+    def __init__(self, backend: Any) -> None:
+        self.backend = backend
 
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -111,47 +127,68 @@ class JsonHttpApp:
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, Any, Dict[str, str]]:
         try:
-            request_line = await asyncio.wait_for(reader.readline(), 30)
+            head = await asyncio.wait_for(_read_head(reader), REQUEST_TIMEOUT)
         except asyncio.TimeoutError:
             return 400, {"error": "request timeout"}, {}
-        parts = request_line.decode("latin-1", "replace").split()
-        if len(parts) < 2:
+        if head is None:
             return 400, {"error": "malformed request line"}, {}
-        method, target = parts[0].upper(), parts[1]
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            key, _, value = line.decode("latin-1", "replace").partition(":")
-            headers[key.strip().lower()] = value.strip()
+        method, target, headers = head
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
             return 400, {"error": "bad content-length"}, {}
         if length > MAX_BODY_BYTES:
             return 413, {"error": "request body too large"}, {}
         body = b""
         if length:
             try:
-                body = await asyncio.wait_for(reader.readexactly(length), 30)
+                body = await asyncio.wait_for(
+                    reader.readexactly(length), REQUEST_TIMEOUT
+                )
             except (asyncio.TimeoutError, asyncio.IncompleteReadError):
                 return 400, {"error": "truncated request body"}, {}
-        result = self._route(method, target, body, headers)
-        if asyncio.iscoroutine(result):
-            # A route that needs the event loop (e.g. the fleet's
-            # submission path, which journals through an executor)
-            # returns a coroutine instead of a response tuple.
-            result = await result
-        return result
+        return await self._route(method, target, body, headers)
 
-    def _route(
-        self, method: str, target: str, body: bytes,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Any:
-        """Dispatch one request: ``(status, doc-or-text, extra headers)``,
-        or a coroutine resolving to that tuple for async routes."""
-        raise NotImplementedError
+    async def _route(
+        self, method: str, target: str, body: bytes, headers: Dict[str, str]
+    ) -> Tuple[int, Any, Dict[str, str]]:
+        """Dispatch one request: ``(status, doc-or-text, extra headers)``."""
+        path, _, query = target.partition("?")
+        if path == "/healthz":
+            if method != "GET":
+                return 405, {"error": "method not allowed"}, {}
+            return 200, self.backend.healthz(), {}
+        if path == "/metrics":
+            if method != "GET":
+                return 405, {"error": "method not allowed"}, {}
+            doc = await self.backend.scrape()
+            if self._wants_prometheus(query, headers):
+                return (
+                    200,
+                    prometheus_from_metrics(doc),
+                    {"Content-Type": PROMETHEUS_CONTENT_TYPE},
+                )
+            return 200, doc, {}
+        if path == "/jobs":
+            if method != "POST":
+                return 405, {"error": "method not allowed"}, {}
+            supplied = headers.get("x-trace-id")
+            trace_id = supplied if valid_trace_id(supplied) else new_trace_id()
+            return await self._submit(body, trace_id)
+        if path == "/jobs/poll":
+            if method != "POST":
+                return 405, {"error": "method not allowed"}, {}
+            return self._poll(body)
+        if path.startswith("/jobs/"):
+            if method != "GET":
+                return 405, {"error": "method not allowed"}, {}
+            record = self.backend.get(path[len("/jobs/"):])
+            if record is None:
+                return 404, {"error": "unknown job id"}, {}
+            return 200, record.to_dict(include_result=True), {}
+        return 404, {"error": f"no route for {path}"}, {}
 
     @staticmethod
     def _wants_prometheus(query: str, headers: Dict[str, str]) -> bool:
@@ -169,153 +206,109 @@ class JsonHttpApp:
         accept = headers.get("accept", "")
         return "text/plain" in accept and "application/json" not in accept
 
+    def _poll(self, body: bytes) -> Tuple[int, Any, Dict[str, str]]:
+        """``POST /jobs/poll``: batched status polling.
 
-def poll_jobs_route(
-    get, body: bytes
-) -> Tuple[int, Any, Dict[str, str]]:
-    """Shared ``POST /jobs/poll`` handler: batched status polling.
-
-    Body: ``{"ids": [...], "include_result": bool}`` (``include_result``
-    defaults to true).  Answers ``{"jobs": {id: record}, "unknown":
-    [...]}`` — one round-trip for a whole in-flight window instead of
-    one ``GET /jobs/<id>`` per job, which is what keeps high-fan-out
-    pollers (``ServeClient.wait``, the load generator) from drowning the
-    server in per-job requests.  ``get`` is the id → record lookup of
-    the owning service (:class:`BatchingService` or the fleet
-    supervisor).
-    """
-    try:
-        doc = json.loads(body or b"null")
-    except ValueError:
-        return 400, {"error": "request body is not valid JSON"}, {}
-    if not isinstance(doc, dict) or not isinstance(doc.get("ids"), list):
-        return 400, {"error": '"ids" must be a list of job ids'}, {}
-    ids = doc["ids"]
-    if not all(isinstance(job_id, str) for job_id in ids):
-        return 400, {"error": "job ids must be strings"}, {}
-    include_result = doc.get("include_result", True)
-    if not isinstance(include_result, bool):
-        return 400, {"error": '"include_result" must be a boolean'}, {}
-    jobs: Dict[str, Any] = {}
-    unknown = []
-    for job_id in ids:
-        record = get(job_id)
-        if record is None:
-            unknown.append(job_id)
-        else:
-            jobs[job_id] = record.to_dict(include_result=include_result)
-    return 200, {"jobs": jobs, "unknown": unknown}, {}
-
-
-class ServeApp(JsonHttpApp):
-    """Routes HTTP requests onto one :class:`BatchingService`."""
-
-    def __init__(self, service: BatchingService) -> None:
-        self.service = service
-
-    def _route(
-        self, method: str, target: str, body: bytes,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Any, Dict[str, str]]:
-        headers = headers or {}
-        path, _, query = target.partition("?")
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "method not allowed"}, {}
-            return (
-                200,
-                {
-                    "status": "draining" if self.service.draining else "ok",
-                    "queue_depth": self.service.queue_depth,
-                    "queue_limit": self.service.queue_limit,
-                },
-                {},
-            )
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "method not allowed"}, {}
-            if self._wants_prometheus(query, headers):
-                return (
-                    200,
-                    prometheus_from_serve_metrics(self.service.metrics()),
-                    {"Content-Type": PROMETHEUS_CONTENT_TYPE},
-                )
-            return 200, self.service.metrics(), {}
-        if path == "/jobs":
-            if method != "POST":
-                return 405, {"error": "method not allowed"}, {}
-            supplied = headers.get("x-trace-id")
-            trace_id = supplied if valid_trace_id(supplied) else new_trace_id()
-            return self._submit(body, trace_id)
-        if path == "/jobs/poll":
-            if method != "POST":
-                return 405, {"error": "method not allowed"}, {}
-            return poll_jobs_route(self.service.get, body)
-        if path.startswith("/jobs/"):
-            if method != "GET":
-                return 405, {"error": "method not allowed"}, {}
-            record = self.service.get(path[len("/jobs/"):])
-            if record is None:
-                return 404, {"error": "unknown job id"}, {}
-            return 200, record.to_dict(include_result=True), {}
-        return 404, {"error": f"no route for {path}"}, {}
-
-    def _submit(
-        self, body: bytes, trace_id: str
-    ) -> Tuple[int, Any, Dict[str, str]]:
-        trace_headers = {"X-Trace-Id": trace_id}
+        Body: ``{"ids": [...], "include_result": bool}`` (``include_result``
+        defaults to true).  Answers ``{"jobs": {id: record}, "unknown":
+        [...]}`` — one round-trip for a whole in-flight window instead of
+        one ``GET /jobs/<id>`` per job, which is what keeps high-fan-out
+        pollers (``ServeClient.wait``, the load generator) from drowning the
+        server in per-job requests.
+        """
         try:
             doc = json.loads(body or b"null")
         except ValueError:
-            return (
-                400,
-                {"error": "request body is not valid JSON",
-                 "trace_id": trace_id},
-                trace_headers,
-            )
+            return 400, {"error": "request body is not valid JSON"}, {}
+        if not isinstance(doc, dict) or not isinstance(doc.get("ids"), list):
+            return 400, {"error": '"ids" must be a list of job ids'}, {}
+        ids = doc["ids"]
+        if not all(isinstance(job_id, str) for job_id in ids):
+            return 400, {"error": "job ids must be strings"}, {}
+        include_result = doc.get("include_result", True)
+        if not isinstance(include_result, bool):
+            return 400, {"error": '"include_result" must be a boolean'}, {}
+        jobs: Dict[str, Any] = {}
+        unknown = []
+        for job_id in ids:
+            record = self.backend.get(job_id)
+            if record is None:
+                unknown.append(job_id)
+            else:
+                jobs[job_id] = record.to_dict(include_result=include_result)
+        return 200, {"jobs": jobs, "unknown": unknown}, {}
+
+    async def _submit(
+        self, body: bytes, trace_id: str
+    ) -> Tuple[int, Any, Dict[str, str]]:
+        def refuse(
+            status: int, message: str, retry_after: Optional[float] = None
+        ) -> Tuple[int, Any, Dict[str, str]]:
+            # Every refusal echoes the trace id in body and header; a
+            # retryable one (429/503) carries the hint in both too.
+            doc: Dict[str, Any] = {"error": message}
+            headers = {}
+            if retry_after is not None:
+                doc["retry_after"] = retry_after
+                headers["Retry-After"] = f"{retry_after}"
+            doc["trace_id"] = trace_id
+            return status, doc, {**headers, "X-Trace-Id": trace_id}
+
+        try:
+            doc = json.loads(body or b"null")
+        except ValueError:
+            return refuse(400, "request body is not valid JSON")
         if isinstance(doc, dict) and "jobs" in doc:
             raw_specs = doc.get("jobs")
         else:
             raw_specs = [doc]
         if not isinstance(raw_specs, list):
-            return (
-                400,
-                {"error": '"jobs" must be a list of job specs',
-                 "trace_id": trace_id},
-                trace_headers,
-            )
+            return refuse(400, '"jobs" must be a list of job specs')
         try:
             specs = [JobSpec.from_dict(raw) for raw in raw_specs]
-            records = self.service.submit(specs, trace_id=trace_id)
+            records = self.backend.submit(specs, trace_id=trace_id)
+            if asyncio.iscoroutine(records):
+                records = await records
         except JobSpecError as exc:
-            return (
-                400,
-                {"error": str(exc), "trace_id": trace_id},
-                trace_headers,
-            )
+            return refuse(400, str(exc))
         except QueueFullError as exc:
-            return (
-                429,
-                {"error": str(exc), "retry_after": exc.retry_after,
-                 "trace_id": trace_id},
-                {"Retry-After": f"{exc.retry_after}", **trace_headers},
-            )
+            return refuse(429, str(exc), exc.retry_after)
         except DrainingError as exc:
-            return (
-                503,
-                {"error": str(exc), "retry_after": self.service.retry_after,
-                 "trace_id": trace_id},
-                {"Retry-After": f"{self.service.retry_after}",
-                 **trace_headers},
-            )
+            return refuse(503, str(exc), self.backend.retry_after)
         return (
             202,
             {
                 "trace_id": trace_id,
                 "jobs": [r.to_dict(include_result=False) for r in records],
             },
-            trace_headers,
+            {"X-Trace-Id": trace_id},
         )
+
+
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, str, Dict[str, str]]]:
+    """Read the request line and headers: ``(method, target, headers)``,
+    or ``None`` (headers unread) for a malformed request line."""
+    request_line = await reader.readline()
+    parts = request_line.decode("latin-1", "replace").split()
+    if len(parts) < 2:
+        return None
+    return parts[0].upper(), parts[1], await read_headers(reader)
+
+
+async def read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
+    """Read header lines up to the blank line: lower-cased name → value.
+
+    Shared by the front-end and the fleet router's shard client.
+    """
+    headers: Dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        key, _, value = line.decode("latin-1", "replace").partition(":")
+        headers[key.strip().lower()] = value.strip()
 
 
 def _write_json_atomic(path: str, doc: Any) -> None:
@@ -344,7 +337,7 @@ def _write_json_atomic(path: str, doc: Any) -> None:
 
 
 async def run_server(
-    service: BatchingService,
+    backend: Any,
     host: str = "127.0.0.1",
     port: int = 8765,
     *,
@@ -352,17 +345,21 @@ async def run_server(
     trace_out: Optional[str] = None,
     manifest_out: Optional[str] = None,
     install_signal_handlers: bool = True,
-    ready: Optional[threading.Event] = None,
     stop: Optional[asyncio.Event] = None,
 ) -> int:
-    """Serve until SIGTERM/SIGINT (or ``stop``), then drain gracefully.
+    """Serve ``backend`` until SIGTERM/SIGINT (or ``stop``), then drain.
 
-    Returns the port actually bound (useful with ``port=0``).
-    ``trace_out`` exports the service-lifecycle spans of every retired
-    request as a Perfetto-loadable Chrome trace on exit.
+    The one lifecycle of ``cohort serve`` and ``cohort fleet``.  The
+    backend names itself in the banner lines (``command``), logs its
+    own listen event (``listening``), names its exit event
+    (``exit_event``) and supplies the ``metrics_out`` document
+    (``scrape``).  ``trace_out`` (the Perfetto-loadable service spans
+    of every retired request) and ``manifest_out`` need ``cohort
+    serve``'s ``service_trace`` and ``run_manifest``.  Returns the port
+    actually bound.
     """
-    app = ServeApp(service)
-    await service.start()
+    app = JsonHttpApp(backend)
+    await backend.start()
     server = await asyncio.start_server(app.handle_connection, host, port)
     bound_port = server.sockets[0].getsockname()[1]
     stop_event = stop if stop is not None else asyncio.Event()
@@ -370,86 +367,61 @@ async def run_server(
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(sig, stop_event.set)
-    print(f"cohort serve: listening on http://{host}:{bound_port}", flush=True)
-    service.oplog.emit("server_listening", host=host, port=bound_port)
+    name = f"cohort {backend.command}"
+    print(f"{name}: {backend.listening(host, bound_port)}", flush=True)
     await stop_event.wait()
-    print("cohort serve: draining", flush=True)
+    print(f"{name}: draining", flush=True)
     # Keep the listener open while draining so clients can poll job
     # status; submissions are refused with 503 once draining starts.
-    await service.drain()
+    await backend.drain()
     if metrics_out:
-        _write_json_atomic(metrics_out, service.metrics())
-        print(f"cohort serve: metrics snapshot -> {metrics_out}", flush=True)
+        _write_json_atomic(metrics_out, await backend.scrape())
+        print(f"{name}: metrics snapshot -> {metrics_out}", flush=True)
     if trace_out:
-        _write_json_atomic(trace_out, service.service_trace())
-        print(f"cohort serve: service trace -> {trace_out}", flush=True)
+        _write_json_atomic(trace_out, backend.service_trace())
+        print(f"{name}: service trace -> {trace_out}", flush=True)
     if manifest_out:
-        from repro.qa import build_manifest, write_manifest
+        from repro.qa import write_manifest
 
-        snapshot = service.metrics()
-        svc = snapshot["service"]
-        runner = snapshot["runner"]
         artifacts = [
             path
-            for path in (metrics_out, trace_out, service.oplog.path)
+            for path in (metrics_out, trace_out, backend.oplog.path)
             if path
         ]
-        manifest = build_manifest(
-            "serve", snapshot.get("label") or "serve",
-            metrics={
-                "jobs_submitted": svc["jobs_submitted"],
-                "jobs_rejected": svc["jobs_rejected"],
-                "jobs_completed": svc["jobs_completed"],
-                "jobs_failed": svc["jobs_failed"],
-                "batches": svc["batches"],
-                "max_queue_depth": svc["max_queue_depth"],
-                "runner_cache_hits": runner["cache_hits"],
-                "runner_cache_misses": runner["cache_misses"],
-                "runner_cache_hit_rate": runner["cache_hit_rate"],
-                "runner_jobs_executed": runner["jobs_executed"],
-                "runner_engine": runner["engine"],
-                "oplog_events": service.oplog.events_emitted,
-            },
-            engine=runner["engine"],
-            artifact_paths=artifacts,
+        fingerprint = write_manifest(
+            backend.run_manifest(artifacts), manifest_out
         )
-        fingerprint = write_manifest(manifest, manifest_out)
         print(
-            f"cohort serve: run manifest -> {manifest_out} "
+            f"{name}: run manifest -> {manifest_out} "
             f"(fingerprint {fingerprint[:12]})",
             flush=True,
         )
     server.close()
     await server.wait_closed()
-    service.oplog.emit("server_exit")
-    service.oplog.close()
-    print("cohort serve: drained, exiting", flush=True)
+    backend.oplog.emit(backend.exit_event)
+    backend.oplog.close()
+    print(f"{name}: drained, exiting", flush=True)
     return bound_port
 
 
-class ServerThread:
-    """An in-process ``cohort serve`` for tests and benchmarks.
+class LoopThread:
+    """:func:`run_server` in a daemon thread, for tests and benchmarks.
 
-    Runs the event loop in a daemon thread on an ephemeral port; the
-    caller talks to it over real HTTP with
-    :class:`repro.serve.client.ServeClient`.
+    The caller talks to the backend over real HTTP at :attr:`base_url`;
+    :meth:`stop` drains it as SIGTERM drains the CLI commands.
+    Subclasses build the backend in ``_make_backend``, on the loop.
     """
 
-    def __init__(
-        self,
-        *,
-        runner: Optional[SweepRunner] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        **service_kwargs: Any,
-    ) -> None:
-        self.runner = runner if runner is not None else SweepRunner(jobs=1)
-        self.service_kwargs = service_kwargs
+    #: Seconds :meth:`start` waits for the backend to listen, and
+    #: :meth:`stop` for it to drain.
+    start_timeout = 30.0
+    stop_timeout = 60.0
+
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self._requested_port = port
         self.port: Optional[int] = None
-        self.service: Optional[BatchingService] = None
-        self._ready = threading.Event()
+        self._backend: Any = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
@@ -461,14 +433,18 @@ class ServerThread:
             raise RuntimeError("server not started")
         return f"http://{self.host}:{self.port}"
 
-    def start(self) -> "ServerThread":
-        """Start the server thread and block until it is accepting."""
+    def start(self) -> Any:
+        """Start the loop thread; block until the backend is listening."""
         self._thread = threading.Thread(target=self._main, daemon=True)
         self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("serve thread did not start in time")
-        if self._error is not None:
-            raise RuntimeError(f"serve thread failed: {self._error!r}")
+        deadline = time.monotonic() + self.start_timeout
+        # The backend's ``listening`` hook records the bound address.
+        while getattr(self._backend, "address", None) is None:
+            if self._error is not None or time.monotonic() > deadline:
+                why = self._error or "timed out"
+                raise RuntimeError(f"{type(self).__name__} did not start: {why}")
+            time.sleep(0.01)
+        self.port = self._backend.address[1]
         return self
 
     def _main(self) -> None:
@@ -476,37 +452,50 @@ class ServerThread:
             asyncio.run(self._amain())
         except BaseException as exc:  # surfaced via start()/stop()
             self._error = exc
-            self._ready.set()
 
     async def _amain(self) -> None:
-        self.service = BatchingService(self.runner, **self.service_kwargs)
-        app = ServeApp(self.service)
-        await self.service.start()
-        server = await asyncio.start_server(
-            app.handle_connection, self.host, self._requested_port
-        )
-        self.port = server.sockets[0].getsockname()[1]
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        self._ready.set()
-        await self._stop.wait()
-        await self.service.drain()
-        server.close()
-        await server.wait_closed()
+        self._backend = self._make_backend()
+        await run_server(
+            self._backend, self.host, self._requested_port,
+            install_signal_handlers=False, stop=self._stop,
+        )
 
-    def stop(self, timeout: float = 60.0) -> None:
-        """Trigger a graceful drain and wait for the thread to exit."""
+    def stop(self, timeout: Optional[float] = None) -> None:
+        """Drain the backend, stop the loop and join the thread."""
         if self._loop is not None and self._stop is not None:
             self._loop.call_soon_threadsafe(self._stop.set)
         if self._thread is not None:
-            self._thread.join(timeout=timeout)
+            self._thread.join(self.stop_timeout if timeout is None else timeout)
             if self._thread.is_alive():
-                raise RuntimeError("serve thread did not drain in time")
+                raise RuntimeError(f"{type(self).__name__} did not drain in time")
         if self._error is not None:
-            raise RuntimeError(f"serve thread failed: {self._error!r}")
+            raise RuntimeError(f"{type(self).__name__} failed: {self._error!r}")
 
-    def __enter__(self) -> "ServerThread":
+    def __enter__(self) -> Any:
         return self.start()
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
+
+
+class ServerThread(LoopThread):
+    """An in-process ``cohort serve`` for tests and benchmarks."""
+
+    def __init__(
+        self,
+        *,
+        runner: Optional[SweepRunner] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        **service_kwargs: Any,
+    ) -> None:
+        super().__init__(host, port)
+        self.runner = runner if runner is not None else SweepRunner(jobs=1)
+        self.service_kwargs = service_kwargs
+        self.service: Optional[BatchingService] = None
+
+    def _make_backend(self) -> BatchingService:
+        self.service = BatchingService(self.runner, **self.service_kwargs)
+        return self.service

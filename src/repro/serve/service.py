@@ -29,7 +29,7 @@ import json
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.metrics import LatencyHistogram
 from repro.obs.ops import OpLogger, build_service_trace
@@ -37,6 +37,9 @@ from repro.obs.report import SERVE_METRICS_SCHEMA
 from repro.params import cohort_config, config_from_dict
 from repro.runner import SweepJob, SweepRunner
 from repro.workloads import benchmark_names, splash_traces
+
+if TYPE_CHECKING:
+    from repro.qa import RunManifest
 
 
 class ServeError(Exception):
@@ -222,6 +225,12 @@ class BatchingService:
     via ``run_in_executor``.
     """
 
+    #: Names this backend in the ``cohort <command>:`` lines that
+    #: :func:`repro.serve.server.run_server` prints, and the oplog event
+    #: it logs once the front-end has closed.
+    command = "serve"
+    exit_event = "server_exit"
+
     def __init__(
         self,
         runner: SweepRunner,
@@ -276,6 +285,8 @@ class BatchingService:
         self.trace_rows: List[Dict[str, Any]] = []
         self.trace_rows_limit = 10000
         self.trace_rows_dropped = 0
+        #: ``(host, port)`` of the HTTP front-end once it is listening.
+        self.address: Optional[Tuple[str, int]] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -529,3 +540,50 @@ class BatchingService:
             },
             "runner": self.runner.telemetry(),
         }
+
+    async def scrape(self) -> Dict[str, Any]:
+        """The ``GET /metrics`` document (:meth:`metrics`)."""
+        return self.metrics()
+
+    def healthz(self) -> Dict[str, Any]:
+        """The ``GET /healthz`` document: drain state and queue fill."""
+        return {
+            "status": "draining" if self.draining else "ok",
+            "queue_depth": self.queue_depth,
+            "queue_limit": self.queue_limit,
+        }
+
+    # -- HTTP front-end lifecycle (repro.serve.server.run_server) -----------
+
+    def listening(self, host: str, port: int) -> str:
+        """Record the front-end's address; returns its banner text."""
+        self.address = (host, port)
+        self.oplog.emit("server_listening", host=host, port=port)
+        return f"listening on http://{host}:{port}"
+
+    def run_manifest(self, artifact_paths: Sequence[str]) -> "RunManifest":
+        """The run manifest ``cohort serve --manifest-out`` writes."""
+        from repro.qa import build_manifest
+
+        snapshot = self.metrics()
+        svc = snapshot["service"]
+        runner = snapshot["runner"]
+        return build_manifest(
+            "serve", snapshot.get("label") or "serve",
+            metrics={
+                "jobs_submitted": svc["jobs_submitted"],
+                "jobs_rejected": svc["jobs_rejected"],
+                "jobs_completed": svc["jobs_completed"],
+                "jobs_failed": svc["jobs_failed"],
+                "batches": svc["batches"],
+                "max_queue_depth": svc["max_queue_depth"],
+                "runner_cache_hits": runner["cache_hits"],
+                "runner_cache_misses": runner["cache_misses"],
+                "runner_cache_hit_rate": runner["cache_hit_rate"],
+                "runner_jobs_executed": runner["jobs_executed"],
+                "runner_engine": runner["engine"],
+                "oplog_events": self.oplog.events_emitted,
+            },
+            engine=runner["engine"],
+            artifact_paths=list(artifact_paths),
+        )

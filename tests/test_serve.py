@@ -3,25 +3,35 @@
 Unit tests drive :class:`BatchingService` directly on an event loop;
 integration tests run a real :class:`ServerThread` on an ephemeral port
 and talk to it over HTTP with :class:`ServeClient` — the same path the
-``cohort submit`` CLI and the CI smoke script use.
+``cohort submit`` CLI and the CI smoke script use.  The HTTP contract
+tests run once per backend: each ``Fleet*`` subclass reruns its base
+class against a :class:`FleetThread` router.
 """
 
 import asyncio
 import json
+import socket
 
 import pytest
 
-from repro.obs import SERVE_METRICS_SCHEMA, classify, summarise
+from repro.obs import (
+    FLEET_METRICS_SCHEMA,
+    SERVE_METRICS_SCHEMA,
+    classify,
+    summarise,
+)
 from repro.runner import SweepRunner
 from repro.serve import (
     BackpressureError,
     BatchingService,
+    FleetThread,
     JobSpec,
     JobSpecError,
     QueueFullError,
     ServeClient,
     ServerThread,
 )
+from repro.serve import server as server_module
 
 TINY = dict(benchmark="fft", thetas=[60, 20, 20, 20], scale=0.05, seed=0)
 
@@ -30,6 +40,60 @@ def tiny_spec(**overrides):
     doc = dict(TINY)
     doc.update(overrides)
     return JobSpec.from_dict(doc)
+
+
+class ServeBackend:
+    """What the shared HTTP tests expect of ``cohort serve``."""
+
+    @staticmethod
+    def thread(root):
+        runner = SweepRunner(jobs=1, cache_dir=str(root / "cache"))
+        return ServerThread(
+            runner=runner, max_batch=4, batch_window=0.01, queue_limit=16
+        )
+
+    schema = SERVE_METRICS_SCHEMA
+    #: Section of the /metrics document holding the job counters, and
+    #: the prefix of the Prometheus families rendered from it.
+    section = "service"
+    prefix = "cohort_serve"
+    healthz = {"queue_limit": 16}
+    #: A family only this backend's exposition renders.
+    family = "cohort_serve_queue_wait_ms_bucket"
+    #: One more exposed counter and its JSON path.
+    cache_misses = ("cohort_runner_cache_misses_total", ("runner", "cache_misses"))
+
+
+class FleetBackend:
+    """What the shared HTTP tests expect of the ``cohort fleet`` router."""
+
+    @staticmethod
+    def thread(root):
+        return FleetThread(
+            shards=1, fleet_dir=str(root / "fleet"),
+            cache_dir=str(root / "cache"), max_batch=4, batch_window=0.01,
+            shard_queue_limit=16, admission_limit=16,
+        )
+
+    schema = FLEET_METRICS_SCHEMA
+    section = "fleet"
+    prefix = "cohort_fleet"
+    healthz = {"shards_up": 1, "shards_total": 1}
+    family = "cohort_fleet_shard_up"
+    cache_misses = (
+        "cohort_fleet_cache_misses_total", ("fleet", "cache", "misses")
+    )
+
+
+def raw_exchange(port, request):
+    """Send raw request bytes; ``(status line, JSON body)`` of the reply."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n", 1)[0].decode(), json.loads(body)
 
 
 class TestJobSpec:
@@ -225,14 +289,10 @@ class TestBatchingService:
         assert "serve metrics" in text and "completed=1" in text
 
 
-class TestHTTPServer:
+class TestHTTPServer(ServeBackend):
     @pytest.fixture(scope="class")
     def server(self, tmp_path_factory):
-        cache = tmp_path_factory.mktemp("serve-cache")
-        runner = SweepRunner(jobs=1, cache_dir=str(cache))
-        with ServerThread(
-            runner=runner, max_batch=4, batch_window=0.01, queue_limit=16
-        ) as thread:
+        with self.thread(tmp_path_factory.mktemp("http")) as thread:
             yield thread
 
     @pytest.fixture(scope="class")
@@ -242,7 +302,7 @@ class TestHTTPServer:
     def test_healthz(self, client):
         doc = client.healthz()
         assert doc["status"] == "ok"
-        assert doc["queue_limit"] == 16
+        assert {key: doc[key] for key in self.healthz} == self.healthz
 
     def test_submit_and_poll_roundtrip(self, client):
         records = client.submit_and_wait([TINY], timeout=120)
@@ -276,8 +336,8 @@ class TestHTTPServer:
     def test_metrics_over_http(self, client):
         # Runs after submissions in this class: counters are live.
         doc = client.metrics()
-        assert doc["schema"] == SERVE_METRICS_SCHEMA
-        assert doc["service"]["jobs_submitted"] >= 1
+        assert doc["schema"] == self.schema
+        assert doc[self.section]["jobs_submitted"] >= 1
 
     def test_malformed_json_is_400(self, server):
         import http.client
@@ -293,6 +353,48 @@ class TestHTTPServer:
             response.read()
         finally:
             conn.close()
+
+    def test_response_header_echoes_trace_id(self, client):
+        status, headers, doc = client._request(
+            "POST", "/jobs", {"jobs": [TINY]},
+            extra_headers={"X-Trace-Id": "my.trace-42"},
+        )
+        assert status == 202
+        lower = {k.lower(): v for k, v in headers.items()}
+        assert lower["x-trace-id"] == "my.trace-42"
+        assert doc["trace_id"] == "my.trace-42"
+        assert all(j["trace_id"] == "my.trace-42" for j in doc["jobs"])
+
+    def test_error_responses_carry_trace_id(self, client):
+        status, headers, doc = client._request(
+            "POST", "/jobs", {"jobs": [dict(TINY, benchmark="nope")]},
+            extra_headers={"X-Trace-Id": "err-trace"},
+        )
+        assert status == 400
+        assert doc["trace_id"] == "err-trace"
+        lower = {k.lower(): v for k, v in headers.items()}
+        assert lower["x-trace-id"] == "err-trace"
+
+    def test_negative_content_length_is_400(self, server):
+        status, doc = raw_exchange(
+            server.port, b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+        )
+        assert status.split()[1] == "400"
+        assert doc == {"error": "bad content-length"}
+
+    def test_stalled_request_head_times_out(self, server, monkeypatch):
+        # The request line and one header arrive, then the client goes
+        # quiet mid-head: the whole head shares one read deadline.
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT", 0.3)
+        status, doc = raw_exchange(
+            server.port, b"POST /jobs HTTP/1.1\r\nHost: stalled\r\n"
+        )
+        assert status.split()[1] == "400"
+        assert doc == {"error": "request timeout"}
+
+
+class TestFleetHTTPServer(FleetBackend, TestHTTPServer):
+    pass
 
 
 class TestTraceContextOverHTTP:
@@ -337,18 +439,6 @@ class TestTraceContextOverHTTP:
         ]
         assert spans, "exported service trace lost the trace id"
 
-    def test_response_header_echoes_trace_id(self, traced_server):
-        client = ServeClient(traced_server.base_url, timeout=30.0)
-        status, headers, doc = client._request(
-            "POST", "/jobs", {"jobs": [TINY]},
-            extra_headers={"X-Trace-Id": "my.trace-42"},
-        )
-        assert status == 202
-        lower = {k.lower(): v for k, v in headers.items()}
-        assert lower["x-trace-id"] == "my.trace-42"
-        assert doc["trace_id"] == "my.trace-42"
-        assert all(j["trace_id"] == "my.trace-42" for j in doc["jobs"])
-
     def test_invalid_header_gets_fresh_id_not_an_error(self, traced_server):
         from repro.obs import valid_trace_id
 
@@ -361,17 +451,6 @@ class TestTraceContextOverHTTP:
         minted = doc["trace_id"]
         assert minted != "bad id with spaces"
         assert valid_trace_id(minted)
-
-    def test_error_responses_carry_trace_id(self, traced_server):
-        client = ServeClient(traced_server.base_url, timeout=30.0)
-        status, headers, doc = client._request(
-            "POST", "/jobs", {"jobs": [dict(TINY, benchmark="nope")]},
-            extra_headers={"X-Trace-Id": "err-trace"},
-        )
-        assert status == 400
-        assert doc["trace_id"] == "err-trace"
-        lower = {k.lower(): v for k, v in headers.items()}
-        assert lower["x-trace-id"] == "err-trace"
 
     def test_client_oplog_records_submission(self, traced_server, tmp_path):
         from repro.obs import OpLogger, read_oplog
@@ -390,14 +469,10 @@ class TestTraceContextOverHTTP:
         assert all(e["component"] == "client" for e in events)
 
 
-class TestPrometheusOverHTTP:
+class TestPrometheusOverHTTP(ServeBackend):
     @pytest.fixture(scope="class")
     def server(self, tmp_path_factory):
-        cache = tmp_path_factory.mktemp("prom-cache")
-        runner = SweepRunner(jobs=1, cache_dir=str(cache))
-        with ServerThread(
-            runner=runner, max_batch=4, batch_window=0.01, queue_limit=16
-        ) as thread:
+        with self.thread(tmp_path_factory.mktemp("prom")) as thread:
             client = ServeClient(thread.base_url, timeout=30.0)
             client.submit_and_wait([TINY], timeout=120)
             yield thread
@@ -428,10 +503,10 @@ class TestPrometheusOverHTTP:
         lower = {k.lower(): v for k, v in headers.items()}
         assert lower["content-type"].startswith("text/plain; version=0.0.4")
         families = parse_prometheus_text(body)
-        labels, value = families["cohort_serve_jobs_completed_total"][0]
+        labels, value = families[f"{self.prefix}_jobs_completed_total"][0]
         assert value >= 1.0
         assert labels["service"]
-        assert "cohort_serve_queue_wait_ms_bucket" in families
+        assert self.family in families
 
     def test_accept_header_negotiates_exposition(self, server):
         from repro.obs import parse_prometheus_text
@@ -444,11 +519,11 @@ class TestPrometheusOverHTTP:
         status, headers, body = self._get(server, "/metrics")
         assert status == 200
         doc = json.loads(body)
-        assert doc["schema"] == SERVE_METRICS_SCHEMA
+        assert doc["schema"] == self.schema
         status, _, body = self._get(
             server, "/metrics", accept="application/json"
         )
-        assert json.loads(body)["schema"] == SERVE_METRICS_SCHEMA
+        assert json.loads(body)["schema"] == self.schema
 
     def test_exposition_numbers_match_json(self, server):
         from repro.obs import parse_prometheus_text
@@ -458,13 +533,18 @@ class TestPrometheusOverHTTP:
         doc = json.loads(json_body)
         families = parse_prometheus_text(prom_body)
         assert (
-            families["cohort_serve_jobs_submitted_total"][0][1]
-            == float(doc["service"]["jobs_submitted"])
+            families[f"{self.prefix}_jobs_submitted_total"][0][1]
+            == float(doc[self.section]["jobs_submitted"])
         )
-        assert (
-            families["cohort_runner_cache_misses_total"][0][1]
-            == float(doc["runner"]["cache_misses"])
-        )
+        family, path = self.cache_misses
+        value = doc
+        for key in path:
+            value = value[key]
+        assert families[family][0][1] == float(value)
+
+
+class TestFleetPrometheusOverHTTP(FleetBackend, TestPrometheusOverHTTP):
+    pass
 
 
 class TestClientBackoff:
@@ -541,76 +621,35 @@ class TestBatchPolling:
                 client.poll_jobs(ids + ["nope"])
             assert excinfo.value.status == 404
 
-    def test_wait_falls_back_when_batch_endpoint_is_missing(self):
-        # A server that 404s /jobs/poll (an old deployment): wait must
-        # still finish via per-job GETs.
-        import threading
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        class OldServer(BaseHTTPRequestHandler):
-            def _reply(self, status, doc):
-                body = json.dumps(doc).encode()
-                self.send_response(status)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_POST(self):
-                self.rfile.read(int(self.headers.get("Content-Length", 0)))
-                self._reply(404, {"error": "no route"})
-
-            def do_GET(self):
-                job_id = self.path.rsplit("/", 1)[-1]
-                self._reply(200, {"id": job_id, "status": "done"})
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), OldServer)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            client = ServeClient(
-                f"http://127.0.0.1:{server.server_address[1]}", timeout=5.0
-            )
-            records = client.wait(["a", "b", "c"], timeout=10.0)
-            assert set(records) == {"a", "b", "c"}
-        finally:
-            server.shutdown()
-
 
 class TestWaitDeadline:
     def test_deadline_is_enforced_inside_one_pass(self):
         # Pre-fix, the deadline was only checked *between* full passes
-        # over the pending list, and each pass issued one blocking GET
-        # per job: 8 pending jobs at 0.15s each meant a 0.4s timeout
-        # returned after ~1.2s.  The fix checks the deadline before
-        # every HTTP round-trip, so the overrun is bounded by one
-        # request, not by the fan-out.
+        # over the pending list, and each pass issued one blocking
+        # request per poll batch: 8 pending jobs polled one per request
+        # at 0.15s each meant a 0.4s timeout returned after ~1.2s.  The
+        # fix checks the deadline before every HTTP round-trip, so the
+        # overrun is bounded by one request, not by the fan-out.
         import threading
         import time as _time
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-        class SlowJobServer(BaseHTTPRequestHandler):
-            def _reply(self, status, doc):
-                body = json.dumps(doc).encode()
-                self.send_response(status)
+        class SlowPollServer(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", 0))
+                ids = json.loads(self.rfile.read(length))["ids"]
+                _time.sleep(0.15)
+                jobs = {i: {"id": i, "status": "running"} for i in ids}
+                body = json.dumps({"jobs": jobs, "unknown": []}).encode()
+                self.send_response(200)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
 
-            def do_POST(self):  # no batch endpoint: force per-job GETs
-                self.rfile.read(int(self.headers.get("Content-Length", 0)))
-                self._reply(404, {"error": "no route"})
-
-            def do_GET(self):
-                _time.sleep(0.15)
-                job_id = self.path.rsplit("/", 1)[-1]
-                self._reply(200, {"id": job_id, "status": "running"})
-
             def log_message(self, *args):
                 pass
 
-        server = ThreadingHTTPServer(("127.0.0.1", 0), SlowJobServer)
+        server = ThreadingHTTPServer(("127.0.0.1", 0), SlowPollServer)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         try:
             client = ServeClient(
@@ -619,7 +658,8 @@ class TestWaitDeadline:
             start = _time.monotonic()
             with pytest.raises(TimeoutError) as excinfo:
                 client.wait(
-                    [f"job-{i}" for i in range(8)], timeout=0.4, poll=0.01
+                    [f"job-{i}" for i in range(8)], timeout=0.4, poll=0.01,
+                    poll_batch=1,
                 )
             elapsed = _time.monotonic() - start
         finally:
