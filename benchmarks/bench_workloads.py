@@ -1,8 +1,8 @@
-"""Shared workload/population builders for the throughput benchmarks.
+"""Shared workloads and measurements for the throughput benchmarks.
 
 Used by both ``test_sim_throughput.py`` (which records the artifact)
-and ``check_throughput_gate.py`` (which re-runs it in CI), so the two
-can never drift apart on what exactly is being measured.
+and ``throughput_soak.py`` (which re-runs it in CI), so the two can
+never drift apart on what exactly is being measured.
 """
 
 from __future__ import annotations
@@ -10,13 +10,14 @@ from __future__ import annotations
 import dataclasses
 import statistics
 import time
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from repro.obs import Telemetry
 from repro.params import MSI_THETA, SimConfig, cohort_config
 from repro.sim.lockstep import run_lockstep_batch
-from repro.sim.system import run_simulation
+from repro.sim.system import System, run_simulation
 from repro.workloads import timer_sweep
 
 #: Size of the lock-step sweep population.
@@ -30,6 +31,36 @@ LOCKSTEP_THETA_GRID = (5, 17, 60, 200, 1000, MSI_THETA)
 LOCKSTEP_POPULATION_SEED = 42
 #: Interleaved sequential-vs-batch measurement rounds.
 LOCKSTEP_ROUNDS = 5
+#: Interleaved telemetry-off/on measurement rounds.
+TELEMETRY_ROUNDS = 5
+
+
+def measure_telemetry(traces) -> Tuple[int, float, float]:
+    """CoHoRT θ=60 on ``traces`` without and with ``repro.obs`` attached.
+
+    The telemetry-on run carries the full stack (spans + histograms +
+    samplers).  Interleaved median-of-N rounds on CPU time: shared
+    runners drift in speed over seconds, so sequential single-shot
+    wall-clock comparisons are noisier than the few-% real overhead
+    being measured — a min-of-few run can even measure *negative*
+    overhead.  Returns ``(cycles, off_cpu, on_cpu)``: the telemetry-on
+    run's final cycle and the median CPU seconds of each side.
+    """
+    off_cpu, on_cpu = [], []
+    for _ in range(TELEMETRY_ROUNDS):
+        started = time.process_time()
+        run_simulation(cohort_config([60] * 4), traces)
+        off_cpu.append(time.process_time() - started)
+        system = System(cohort_config([60] * 4), traces)
+        Telemetry.attach(system, sample_every=500)
+        started = time.process_time()
+        stats = system.run()
+        on_cpu.append(time.process_time() - started)
+    return (
+        stats.final_cycle,
+        statistics.median(off_cpu),
+        statistics.median(on_cpu),
+    )
 
 
 def lockstep_traces():

@@ -20,34 +20,31 @@ Poisson generator (:mod:`repro.serve.loadgen`) in three phases:
    balance from per-shard routed deltas.
 
 The verdict lives in the shipped gate spec
-(``repro/qa/specs/capacity.json``): this script only measures, writes
-a ``kind="capacity"`` run manifest plus artefacts (fleet metrics
-snapshot, Prometheus scrape, oplog, ``BENCH_serving.json`` trajectory,
-verdict report) into the artifact directory, and exits with the gate's
-verdict.  The checked-in ``benchmarks/out/BENCH_serving.json`` is the
-regression baseline: the gate warns when sustained throughput falls
-out of the band relative to it.
+(``repro/qa/specs/capacity.json``): this module only measures, leaves
+its artefacts (fleet metrics snapshot, Prometheus scrape, oplog,
+``BENCH_serving.json`` trajectory) in the artifact directory and
+returns a ``kind="capacity"`` run manifest, which ``benchmarks/soak.py``
+writes, gates and turns into the exit code.  The checked-in
+``benchmarks/out/BENCH_serving.json`` is the regression baseline: the
+gate warns when sustained throughput falls out of the band relative to
+it.
 
-    PYTHONPATH=src python benchmarks/capacity_soak.py [artifact_dir]
+    python benchmarks/soak.py capacity [artifact_dir]
 """
 
 import json
 import os
-import shutil
-import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+from repro.obs import OpLogger
+from repro.obs.metrics import LatencyHistogram
+from repro.qa import build_manifest
+from repro.serve import FleetThread, ServeClient
+from repro.serve.loadgen import LoadGenerator, theta_population
+from soak import archive_metrics
 
-from repro.obs import OpLogger, parse_prometheus_text  # noqa: E402
-from repro.obs.metrics import LatencyHistogram  # noqa: E402
-from repro.obs.validate import validate_file  # noqa: E402
-from repro.qa import build_manifest, evaluate_spec, load_spec  # noqa: E402
-from repro.qa import write_manifest  # noqa: E402
-from repro.serve import FleetThread, ServeClient  # noqa: E402
-from repro.serve.loadgen import LoadGenerator, theta_population  # noqa: E402
-
-ART_DIR = sys.argv[1] if len(sys.argv) > 1 else "capacity-artifacts"
+OPLOG = "fleet.oplog.jsonl"
+SCHEMA_TAGGED = (OPLOG,)
 BASELINE_PATH = os.path.join(
     os.path.dirname(__file__), "out", "BENCH_serving.json"
 )
@@ -66,12 +63,6 @@ PLATEAU_FRACTION = 0.8
 PLATEAU_S = 12.0
 DRAIN_TIMEOUT_S = 60.0
 SETTLE_TIMEOUT_S = 120.0
-
-
-def fail(message):
-    """Harness machinery broke — not a gate verdict, just die."""
-    print(f"capacity_soak: FAIL — {message}", file=sys.stderr)
-    sys.exit(1)
 
 
 def shard_queue_wait(doc):
@@ -108,31 +99,10 @@ def wait_fleet_idle(client, timeout=SETTLE_TIMEOUT_S):
         if doc["fleet"]["admission_pending"] == 0:
             return doc
         time.sleep(0.25)
-    fail(
+    raise SystemExit(
         f"fleet still has {doc['fleet']['admission_pending']} pending "
         f"jobs after {timeout}s"
     )
-
-
-def scrape_prometheus(host, port, out_path):
-    import http.client
-
-    conn = http.client.HTTPConnection(host, port, timeout=30)
-    try:
-        conn.request("GET", "/metrics?format=prometheus")
-        response = conn.getresponse()
-        body = response.read().decode()
-    finally:
-        conn.close()
-    if response.status != 200:
-        fail(f"prometheus scrape returned {response.status}")
-    try:
-        families = parse_prometheus_text(body)
-    except ValueError as exc:
-        fail(f"prometheus exposition does not parse: {exc}")
-    with open(out_path, "w") as fh:
-        fh.write(body)
-    print(f"capacity_soak: prometheus scrape OK ({len(families)} families)")
 
 
 def run_window(fleet, rate, duration, seed, population, workers=32):
@@ -153,12 +123,10 @@ def load_baseline():
         return 0.0
 
 
-def main():
-    if os.path.isdir(ART_DIR):
-        shutil.rmtree(ART_DIR)
-    os.makedirs(ART_DIR, exist_ok=True)
-    fleet_dir = os.path.join(ART_DIR, "fleet")
-    oplog_path = os.path.join(ART_DIR, "fleet.oplog.jsonl")
+def measure(out_dir):
+    """Run the soak in ``out_dir``; returns the capacity manifest."""
+    fleet_dir = os.path.join(out_dir, "fleet")
+    oplog_path = os.path.join(out_dir, OPLOG)
     population = theta_population(POPULATION)
 
     fleet = FleetThread(
@@ -180,7 +148,7 @@ def main():
             [spec.to_dict() for spec in population], max_retries=20
         )
         if len(accepted) != len(population):
-            fail(f"warm-up accepted {len(accepted)}/{len(population)}")
+            raise SystemExit(f"warm-up accepted {len(accepted)}/{len(population)}")
         client.wait([doc["id"] for doc in accepted], timeout=300.0)
         print(f"capacity_soak: warm-up done ({len(population)} specs)")
 
@@ -226,7 +194,7 @@ def main():
                 break
             rate *= 2
         if knee_rps <= 0:
-            fail("ramp never sustained any throughput")
+            raise SystemExit("ramp never sustained any throughput")
         wait_fleet_idle(client)
 
         # Phase 3: plateau just below the knee, measured by deltas so
@@ -260,19 +228,12 @@ def main():
             [r / routed_total for r in routed] if routed_total else [0.0]
         )
 
-        snapshot_path = os.path.join(ART_DIR, "fleet.metrics.json")
-        with open(snapshot_path, "w") as fh:
-            json.dump(after, fh, indent=2)
-        scrape_prometheus(
-            fleet.host, fleet.port,
-            os.path.join(ART_DIR, "fleet.metrics.prom.txt"),
+        snapshot_path = archive_metrics(
+            after, fleet.host, fleet.port,
+            os.path.join(out_dir, "fleet.metrics"),
         )
     finally:
         fleet.stop()
-
-    errors = validate_file(oplog_path)
-    if errors:
-        fail(f"fleet oplog failed schema validation: {errors[:3]}")
 
     plateau_doc = plateau.to_dict()
     metrics = {
@@ -308,7 +269,7 @@ def main():
     }
     print("capacity_soak: " + json.dumps(metrics, indent=2, sort_keys=True))
 
-    bench_path = os.path.join(ART_DIR, "BENCH_serving.json")
+    bench_path = os.path.join(out_dir, "BENCH_serving.json")
     with open(bench_path, "w") as fh:
         json.dump(
             {
@@ -338,16 +299,4 @@ def main():
         artifact_paths=[snapshot_path, oplog_path, bench_path],
         environment={"shards": SHARDS, "population": POPULATION},
     )
-    write_manifest(
-        manifest, os.path.join(ART_DIR, "capacity.manifest.json")
-    )
-    report = evaluate_spec(load_spec("capacity"), manifest)
-    with open(os.path.join(ART_DIR, "capacity.verdict.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(report.render())
-    sys.exit(report.exit_code)
-
-
-if __name__ == "__main__":
-    main()
+    return [("capacity", manifest, None)]

@@ -27,33 +27,30 @@ healthy again), then measures:
   size within the configured budget.
 
 The verdict lives in the shipped gate spec
-(``repro/qa/specs/chaos.json``): this script only measures, writes a
-``kind="chaos"`` run manifest plus artefacts (fleet metrics snapshot,
-Prometheus scrape, oplog, verdict report) into the artifact directory,
-and exits with the gate's verdict.
+(``repro/qa/specs/chaos.json``): this module only measures, leaves its
+artefacts (fleet metrics snapshot, Prometheus scrape, oplog) in the
+artifact directory and returns a ``kind="chaos"`` run manifest, which
+``benchmarks/soak.py`` writes, gates and turns into the exit code:
 
-    PYTHONPATH=src python benchmarks/chaos_soak.py [artifact_dir]
+    python benchmarks/soak.py chaos [artifact_dir]
 """
 
 import json
 import os
-import shutil
 import signal
 import sys
 import threading
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+from repro.obs import OpLogger
+from repro.qa import build_manifest
+from repro.runner import SweepRunner
+from repro.serve import FleetThread, ServeClient
+from repro.serve.service import JobSpec
+from soak import archive_metrics
 
-from repro.obs import parse_prometheus_text  # noqa: E402
-from repro.obs.validate import validate_file  # noqa: E402
-from repro.qa import build_manifest, evaluate_spec, load_spec  # noqa: E402
-from repro.qa import write_manifest  # noqa: E402
-from repro.runner import SweepRunner  # noqa: E402
-from repro.serve import FleetThread, ServeClient  # noqa: E402
-from repro.serve.service import JobSpec  # noqa: E402
-
-ART_DIR = sys.argv[1] if len(sys.argv) > 1 else "chaos-artifacts"
+OPLOG = "fleet.oplog.jsonl"
+SCHEMA_TAGGED = (OPLOG,)
 
 #: The soak workload: unique tiny jobs (distinct digests) so cache
 #: entries, journal entries and results are all attributable.
@@ -65,16 +62,9 @@ SPECS = [
 
 SHARDS = 3
 WAVES = 3
-SHARD_KILLS_PLANNED = 2
 DISK_FAULTS_PLANNED = 2
 SETTLE_TIMEOUT = 90.0
 WAIT_TIMEOUT = 300.0
-
-
-def fail(message):
-    """Harness machinery broke — not a gate verdict, just die."""
-    print(f"chaos_soak: FAIL — {message}", file=sys.stderr)
-    sys.exit(1)
 
 
 class AvailabilityProber(threading.Thread):
@@ -107,14 +97,14 @@ class AvailabilityProber(threading.Thread):
         return self.successes / self.samples if self.samples else 0.0
 
 
-def compute_expected():
+def compute_expected(out_dir):
     """Direct ``SweepRunner.run`` ground truth, on a private cache.
 
     Also returns the mean on-disk entry size so the fleet's cache
     budget can be set tight enough to force evictions without starving
     the working set.
     """
-    cache_dir = os.path.join(ART_DIR, "reference-cache")
+    cache_dir = os.path.join(out_dir, "reference-cache")
     runner = SweepRunner(jobs=1, cache_dir=cache_dir, engine="lockstep")
     jobs = [JobSpec.from_dict(spec).to_sweep_job() for spec in SPECS]
     results = runner.run(jobs)
@@ -135,7 +125,7 @@ def submit_wave(client, label):
     """Submit every spec once; returns the accepted (id, spec) pairs."""
     accepted = client.submit(SPECS, max_retries=20)
     if len(accepted) != len(SPECS):
-        fail(f"{label}: accepted {len(accepted)}/{len(SPECS)} jobs")
+        raise SystemExit(f"{label}: accepted {len(accepted)}/{len(SPECS)} jobs")
     print(f"chaos_soak: {label}: accepted {len(accepted)} jobs")
     return [(doc["id"], spec) for doc, spec in zip(accepted, SPECS)]
 
@@ -153,7 +143,7 @@ def corrupt_cache_entries(cache_dir, digests, count):
         if os.path.exists(os.path.join(cache_dir, f"{digest}.json"))
     ][:count]
     if not victims:
-        fail("no on-disk cache entries eligible for corruption")
+        raise SystemExit("no on-disk cache entries eligible for corruption")
     for i, digest in enumerate(victims):
         path = os.path.join(cache_dir, f"{digest}.json")
         if i % 2 == 0:
@@ -182,45 +172,21 @@ def settle(client, deadline=SETTLE_TIMEOUT):
         if all(state == "up" for state in states):
             return doc
         time.sleep(0.5)
-    fail(f"fleet did not heal within {deadline}s: "
-         f"{[s['state'] for s in (doc or {}).get('shards', [])]}")
+    raise SystemExit(f"fleet did not heal within {deadline}s: "
+                     f"{[s['state'] for s in (doc or {}).get('shards', [])]}")
 
 
-def scrape_prometheus(host, port, out_path):
-    import http.client
-
-    conn = http.client.HTTPConnection(host, port, timeout=30)
-    try:
-        conn.request("GET", "/metrics?format=prometheus")
-        response = conn.getresponse()
-        body = response.read().decode()
-    finally:
-        conn.close()
-    if response.status != 200:
-        fail(f"prometheus scrape returned {response.status}")
-    try:
-        families = parse_prometheus_text(body)
-    except ValueError as exc:
-        fail(f"prometheus exposition does not parse: {exc}")
-    with open(out_path, "w") as fh:
-        fh.write(body)
-    print(f"chaos_soak: prometheus scrape OK ({len(families)} families)")
-
-
-def main():
-    if os.path.isdir(ART_DIR):
-        shutil.rmtree(ART_DIR)
-    os.makedirs(ART_DIR, exist_ok=True)
-    expected, entry_size = compute_expected()
+def measure(out_dir):
+    """Run the soak in ``out_dir``; returns the chaos manifest."""
+    expected, entry_size = compute_expected(out_dir)
     # Budget ~60% of the full working set: evictions must fire, but a
     # useful fraction of entries stays resident.
     budget = max(4096, int(entry_size * len(SPECS) * 0.6))
     print(f"chaos_soak: cache entry ~{entry_size}B, budget {budget}B")
 
-    fleet_dir = os.path.join(ART_DIR, "fleet")
+    fleet_dir = os.path.join(out_dir, "fleet")
     cache_dir = os.path.join(fleet_dir, "cache")
-    oplog_path = os.path.join(ART_DIR, "fleet.oplog.jsonl")
-    from repro.obs import OpLogger
+    oplog_path = os.path.join(out_dir, OPLOG)
 
     kills = 0
     hangs = 0
@@ -322,20 +288,13 @@ def main():
 
         fleet_doc = final["fleet"]
         cache_doc = fleet_doc["cache"]
-        snapshot_path = os.path.join(ART_DIR, "fleet.metrics.json")
-        with open(snapshot_path, "w") as fh:
-            json.dump(final, fh, indent=2)
-        scrape_prometheus(
-            fleet.host, fleet.port,
-            os.path.join(ART_DIR, "fleet.metrics.prom.txt"),
+        snapshot_path = archive_metrics(
+            final, fleet.host, fleet.port,
+            os.path.join(out_dir, "fleet.metrics"),
         )
     finally:
         prober.stop()
         fleet.stop()
-
-    errors = validate_file(oplog_path)
-    if errors:
-        fail(f"fleet oplog failed schema validation: {errors[:3]}")
 
     over_budget = max(0, cache_doc.get("size_bytes", 0) - budget)
     metrics = {
@@ -372,14 +331,4 @@ def main():
         artifact_paths=[snapshot_path, oplog_path],
         environment={"shards": SHARDS, "budget_bytes": budget},
     )
-    write_manifest(manifest, os.path.join(ART_DIR, "chaos.manifest.json"))
-    report = evaluate_spec(load_spec("chaos"), manifest)
-    with open(os.path.join(ART_DIR, "chaos.verdict.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(report.render())
-    sys.exit(report.exit_code)
-
-
-if __name__ == "__main__":
-    main()
+    return [("chaos", manifest, None)]

@@ -5,20 +5,16 @@ order-of-magnitude regressions in the event engine: the kernel skips
 idle cycles, so timer waits are free and contended workloads dominate.
 """
 
-import statistics
+import os
 import time
 
 from repro.params import cohort_config, msi_fcfs_config
-from repro.experiments import format_table
-from repro.obs import Telemetry
-from repro.sim.system import System, run_simulation
+from repro.experiments import dump_json, format_table
+from repro.sim.system import run_simulation
 from repro.workloads import splash_traces
 
-from bench_workloads import measure_lockstep
-from conftest import emit, run_once
-
-#: Interleaved measurement rounds for the telemetry-overhead number.
-TELEMETRY_ROUNDS = 5
+from bench_workloads import TELEMETRY_ROUNDS, measure_lockstep, measure_telemetry
+from conftest import OUT_DIR, emit, run_once
 
 
 def test_simulator_throughput(benchmark):
@@ -56,39 +52,24 @@ def test_simulator_throughput(benchmark):
             }
 
         # Telemetry overhead: the same CoHoRT run with the full repro.obs
-        # stack attached (spans + histograms + samplers).  Cycle counts
-        # must not move; wall-clock overhead is gated by
-        # check_throughput_gate.py at 20%.  Interleaved median-of-N on
-        # CPU time: shared runners drift in speed over seconds, so a
-        # single sequential wall-clock pair is noisier than the few-%
-        # real overhead — and can even come out *negative*.
-        off_cpu, on_cpu = [], []
-        for _ in range(TELEMETRY_ROUNDS):
-            started = time.process_time()
-            run_simulation(cohort_config([60] * 4), traces)
-            off_cpu.append(time.process_time() - started)
-            system = System(cohort_config([60] * 4), traces)
-            Telemetry.attach(system, sample_every=500)
-            started = time.process_time()
-            stats = system.run()
-            on_cpu.append(time.process_time() - started)
-        assert stats.final_cycle == payload["systems"]["cohort"]["cycles"]
-        off_med = statistics.median(off_cpu)
-        on_med = statistics.median(on_cpu)
+        # stack attached.  Cycle counts must not move; the CPU-time
+        # overhead is gated by the throughput soak at 20%.
+        cycles, off_med, on_med = measure_telemetry(traces)
+        assert cycles == payload["systems"]["cohort"]["cycles"]
         raw_overhead = on_med / off_med - 1.0
         rows.append(
             [
                 "CoHoRT θ=60 + telemetry",
-                stats.final_cycle,
+                cycles,
                 f"{on_med:.2f}",
-                f"{stats.final_cycle / on_med:,.0f}",
+                f"{cycles / on_med:,.0f}",
                 f"{total_accesses / on_med:,.0f}",
             ]
         )
         payload["telemetry"] = {
             "system": "cohort",
             "sample_every": 500,
-            "cycles": stats.final_cycle,
+            "cycles": cycles,
             "rounds": TELEMETRY_ROUNDS,
             "wall_seconds": on_med,
             "accesses_per_second": total_accesses / on_med,
@@ -131,11 +112,7 @@ def test_simulator_throughput(benchmark):
             title=f"Simulator throughput (ocean x4, {total_accesses:,} accesses)",
         ),
     )
-    emit(
-        "BENCH_throughput",
-        "machine-readable copy of sim_throughput.txt in BENCH_throughput.json",
-        payload=payload,
-    )
+    dump_json(os.path.join(OUT_DIR, "BENCH_throughput.json"), payload)
     for row in rows:
         # Guard: at least 10^4 simulated cycles per second.  (The
         # lock-step batch row reports no single cycle count.)

@@ -316,6 +316,43 @@ class TestSupervisorFailover:
         shard.proc.wait(timeout=10)  # raises TimeoutExpired if leaked
         assert shard.proc.poll() is not None
 
+    @pytest.mark.parametrize("check", ["_probe", "_start_shard"])
+    def test_one_healthy_check_closes_an_open_breaker(
+        self, tmp_path, monkeypatch, check
+    ):
+        # The breaker does not hold a shard off for its cooldown or wait
+        # for a half-open request: the first successful /healthz, from
+        # the health loop or from a (re)start, closes it on the spot.
+        from repro.serve import fleet
+
+        class LiveProcess:
+            pid = 4242
+
+            def poll(self):
+                return None
+
+        async def healthy(host, port, method, path, **kwargs):
+            assert (method, path) == ("GET", "/healthz")
+            return 200, {"status": "ok"}
+
+        monkeypatch.setattr(fleet, "_http_json", healthy)
+        sup = self._supervisor(tmp_path, shards=1)
+        shard = sup.shards[0]
+        shard.breaker = fleet.CircuitBreaker(
+            threshold=3, cooldown=1.0, clock=lambda: 0.0
+        )
+        shard.proc = LiveProcess()
+        sup._spawn = lambda target: None
+        sup._wakeups = {0: asyncio.Event()}
+        for _ in range(3):
+            shard.breaker.record_failure()
+        assert shard.breaker.state == "open"
+        assert shard.breaker.cooldown == 1.0
+        assert not shard.breaker.allows()  # the clock never moves
+        asyncio.run(getattr(sup, check)(shard))
+        assert shard.breaker.state == "closed"
+        assert shard.breaker.allows()
+
 
 class TestFleetPrometheus:
     def _doc(self):
