@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.obs import Telemetry
 from repro.params import MSI_THETA, SimConfig, cohort_config
-from repro.sim.lockstep import run_lockstep_batch
+from repro.sim.lockstep import LockstepSystem
 from repro.sim.system import System, run_simulation
 from repro.workloads import timer_sweep
 
@@ -29,7 +29,7 @@ LOCKSTEP_WORKLOAD = (4, 40_000, 0)
 LOCKSTEP_THETA_GRID = (5, 17, 60, 200, 1000, MSI_THETA)
 #: RNG seed of the population draw (pins the 64 configs forever).
 LOCKSTEP_POPULATION_SEED = 42
-#: Interleaved sequential-vs-batch measurement rounds.
+#: Interleaved fast-path-vs-lock-step measurement rounds.
 LOCKSTEP_ROUNDS = 5
 #: Interleaved telemetry-off/on measurement rounds.
 TELEMETRY_ROUNDS = 5
@@ -87,18 +87,22 @@ def lockstep_configs() -> List[SimConfig]:
 
 
 def measure_lockstep(rounds: int = LOCKSTEP_ROUNDS) -> Dict[str, Any]:
-    """Measure the pinned 64-config sweep: sequential vs lock-step batch.
+    """Measure the pinned 64-config sweep: fast path vs lock-step.
 
+    Both sides run the configs one by one on a warm decode cache: the
+    ``sequential`` side through ``run_simulation``, the ``batch`` side
+    (the artifact's name for it) through one ``LockstepSystem`` each.
     Interleaved median-of-``rounds`` on CPU time, for the same reason
     the telemetry-overhead number is measured that way: shared runners
     drift in speed over the tens of seconds the sequential side takes,
-    so a single sequential-then-batch wall-clock pair routinely swings
+    so a single fast-then-lock-step wall-clock pair routinely swings
     the speedup by 20%+ in either direction.  Interleaving puts both
     engines under the same machine conditions within each round; the
     speedup is per-round CPU-time ratio, medianed across rounds.
 
-    Asserts the batch is cycle-identical to the sequential runs every
-    round, and returns the artifact-shaped ``lockstep`` payload.
+    Asserts the lock-step runs are cycle-identical to the fast-path
+    runs every round, and returns the artifact-shaped ``lockstep``
+    payload.
     """
     traces = lockstep_traces()
     configs = lockstep_configs()
@@ -110,20 +114,24 @@ def measure_lockstep(rounds: int = LOCKSTEP_ROUNDS) -> Dict[str, Any]:
     seq_wall: List[float] = []
     batch_cpu: List[float] = []
     batch_wall: List[float] = []
+
+    def run_lockstep() -> List[Any]:
+        return [LockstepSystem(cfg, traces).run() for cfg in configs]
+
     # Untimed warm-up: the adaptive interpreter specialises the
-    # lock-step-only code paths over the first pass (a cold first batch
+    # lock-step-only code paths over the first pass (a cold first pass
     # runs ~20% slower), and this also pre-populates the shared decode
     # cache for both engines.
-    run_lockstep_batch(configs, traces)
+    run_lockstep()
     for _ in range(rounds):
         c0, w0 = time.process_time(), time.perf_counter()
         sequential = [run_simulation(cfg, traces) for cfg in configs]
         c1, w1 = time.process_time(), time.perf_counter()
-        batch = run_lockstep_batch(configs, traces)
+        batch = run_lockstep()
         c2, w2 = time.process_time(), time.perf_counter()
         final_cycles = [s.final_cycle for s in sequential]
         assert [s.final_cycle for s in batch] == final_cycles, (
-            "lock-step batch diverged from sequential fast-path cycles"
+            "lock-step runs diverged from sequential fast-path cycles"
         )
         seq_cpu.append(c1 - c0)
         seq_wall.append(w1 - w0)

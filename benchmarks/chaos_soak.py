@@ -105,7 +105,7 @@ def compute_expected(out_dir):
     the working set.
     """
     cache_dir = os.path.join(out_dir, "reference-cache")
-    runner = SweepRunner(jobs=1, cache_dir=cache_dir, engine="lockstep")
+    runner = SweepRunner(jobs=1, cache_dir=cache_dir)
     jobs = [JobSpec.from_dict(spec).to_sweep_job() for spec in SPECS]
     results = runner.run(jobs)
     expected = {

@@ -81,11 +81,11 @@ def test_simulator_throughput(benchmark):
         }
 
         # Lock-step engine: one pinned 64-config θ-sweep population over
-        # one shared timer_sweep trace set, batch vs the same 64 runs
-        # done sequentially on the fast path (interleaved median-of-N on
-        # CPU time, cycle identity asserted every round).  The speedup
-        # here is the headline claim of docs/performance.md and is
-        # gated in CI.
+        # one shared timer_sweep trace set, run one config at a time on
+        # the lock-step engine vs on the fast path (interleaved
+        # median-of-N on CPU time, cycle identity asserted every
+        # round).  The speedup here is the headline claim of
+        # docs/performance.md and is gated in CI.
         ls = measure_lockstep()
         rows.append(
             [

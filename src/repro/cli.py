@@ -108,9 +108,9 @@ def _emit_manifest(path, kind, label, **kwargs) -> None:
 def _runner_metrics(runner) -> dict:
     """The sweep-runner telemetry scalars a gate can assert over."""
     tele = runner.telemetry()
-    keys = ("engine", "cache_hits", "cache_misses", "cache_hit_rate",
-            "jobs_executed", "exec_seconds", "lockstep_groups",
-            "lockstep_jobs", "worker_failures", "job_timeouts")
+    keys = ("cache_hits", "cache_misses", "cache_hit_rate", "jobs_executed",
+            "exec_seconds", "lockstep_groups", "lockstep_jobs",
+            "worker_failures", "job_timeouts")
     return {f"runner_{key}": tele[key] for key in keys}
 
 
@@ -129,20 +129,6 @@ def _write_sweep_metrics(args: argparse.Namespace, runner,
     print(f"sweep metrics written to {args.metrics_out}")
 
 
-def _add_engine(
-    parser: argparse.ArgumentParser, default: str = "lockstep"
-) -> None:
-    # Single-simulation commands default to "fast": lock-step only pays
-    # off when a batch shares one trace set.
-    parser.add_argument(
-        "--engine", choices=("seed", "fast", "lockstep"), default=default,
-        help="simulation engine: 'lockstep' amortises one trace across "
-             "same-trace sweep groups, 'fast' is the inline "
-             "hit-retirement path, 'seed' forces the event-per-access "
-             "reference engine; results are bit-identical across all "
-             f"three (default: {default})")
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=1.0,
                         help="workload size multiplier")
@@ -152,8 +138,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--generations", type=int, default=20,
                         help="GA generations")
     parser.add_argument("-j", "--jobs", type=_positive_int, default=1,
-                        help="worker processes for independent simulations "
-                             "and GA fitness evaluation (1 = serial)")
+                        help="worker processes (1 = serial) for optimize's "
+                             "analytic GA fitness and for sweep jobs that "
+                             "reach the process pool; jobs sharing one trace "
+                             "set run in-process on the lock-step engine")
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -181,7 +169,7 @@ def cmd_fig5(args: argparse.Namespace) -> int:
     from repro.runner import SweepRunner
 
     critical = FIG5_CONFIGS[args.config]
-    runner = SweepRunner(jobs=args.jobs, engine=args.engine)
+    runner = SweepRunner(jobs=args.jobs)
     ratios = {}
     for benchmark in args.benchmarks:
         exp = run_wcml_experiment(
@@ -206,7 +194,7 @@ def cmd_fig5(args: argparse.Namespace) -> int:
         _emit_manifest(
             args.manifest_out, "fig5", f"{args.config}",
             metrics={**ratios, **_runner_metrics(runner)},
-            engine=args.engine, seed=args.seed,
+            engine="lockstep", seed=args.seed,
             artifact_paths=[p for p in (args.metrics_out,) if p],
             environment={"benchmarks": list(args.benchmarks),
                          "scale": args.scale},
@@ -219,7 +207,7 @@ def cmd_fig6(args: argparse.Namespace) -> int:
     from repro.runner import SweepRunner
 
     critical = FIG5_CONFIGS[args.config]
-    runner = SweepRunner(jobs=args.jobs, engine=args.engine)
+    runner = SweepRunner(jobs=args.jobs)
     exp = run_performance_experiment(
         args.benchmarks, critical, scale=args.scale, seed=args.seed,
         ga_config=_ga_config(args), perfect_llc=not args.non_perfect_llc,
@@ -238,7 +226,7 @@ def cmd_fig6(args: argparse.Namespace) -> int:
         _emit_manifest(
             args.manifest_out, "fig6", f"{args.config}",
             metrics={**slowdowns, **_runner_metrics(runner)},
-            engine=args.engine, seed=args.seed,
+            engine="lockstep", seed=args.seed,
             artifact_paths=[p for p in (args.metrics_out,) if p],
             environment={"benchmarks": list(args.benchmarks),
                          "scale": args.scale},
@@ -413,14 +401,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _optimize_sim_fitness(args, config, traces, profiles, ga_log) -> int:
-    """The measured-objective GA: fitness by simulation, batched in
-    lock-step per generation (constraint C1 stays analytic)."""
+    """The measured-objective GA: fitness by simulation, one sweep batch
+    per generation (constraint C1 stays analytic)."""
     import time
 
     from repro.opt import GeneticAlgorithm, SimulationFitness, TimerProblem
 
     problem = TimerProblem(profiles, LatencyParams(), timed=[True] * 4)
-    fit = SimulationFitness(problem, config, traces, engine=args.engine)
+    fit = SimulationFitness(problem, config, traces)
     ga = GeneticAlgorithm(
         problem.gene_bounds(), fit.fitness, _ga_config(args), map_fn=fit
     )
@@ -438,7 +426,7 @@ def _optimize_sim_fitness(args, config, traces, profiles, ga_log) -> int:
     print(f"feasible (analytic C1): {evaluation.feasible}, GA evaluations: "
           f"{result.evaluations}, wall time: {wall:.1f}s")
     tele = fit.telemetry()
-    print(f"engine={tele['engine']}: {tele['jobs_executed']} simulations "
+    print(f"{tele['jobs_executed']} simulations "
           f"({tele['lockstep_jobs']} in {tele['lockstep_groups']} lock-step "
           f"groups), {tele['cache_hits']} memoized")
     rows = [
@@ -461,7 +449,7 @@ def _optimize_sim_fitness(args, config, traces, profiles, ga_log) -> int:
                 "lockstep_groups": tele["lockstep_groups"],
                 "lockstep_jobs": tele["lockstep_jobs"],
             },
-            engine=args.engine, seed=args.seed,
+            engine="lockstep", seed=args.seed,
             artifact_paths=[p for p in (args.metrics_out,) if p],
         )
     return 0
@@ -618,20 +606,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             from repro.sim.system import System
 
             # Telemetry needs the full event stream, which only the
-            # per-event engines publish; --engine is ignored here.
+            # per-event engine publishes.
             system = System(config, traces)
             telemetry = Telemetry.attach(
                 system, sample_every=args.sample_every, label="simulate"
             )
             stats = system.run()
-        elif args.engine == "lockstep":
-            from repro.sim.lockstep import run_simulation_lockstep
-
-            stats = run_simulation_lockstep(config, traces)
         else:
-            stats = run_simulation(
-                config, traces, fast_path=args.engine != "seed"
-            )
+            stats = run_simulation(config, traces)
     except CoherenceViolationError as exc:
         print(f"coherence violation: {exc}", file=sys.stderr)
         if not args.trace_out:
@@ -679,7 +661,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             args.manifest_out, "simulate",
             f"{source} thetas={args.thetas}",
             config=config, traces=traces, stats=stats_to_dict(stats),
-            engine="event" if telemetry is not None else args.engine,
+            engine="event" if telemetry is not None else "fast",
             seed=args.seed,
             artifact_paths=[
                 p for p in (args.trace_out, args.metrics_out) if p
@@ -810,7 +792,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import BatchingService, run_server
 
     runner_kwargs = dict(
-        jobs=args.jobs, timeout=args.job_timeout, engine=args.engine,
+        jobs=args.jobs, timeout=args.job_timeout,
         cache_budget_bytes=args.cache_budget,
     )
     if args.cache_dir is not None:
@@ -856,7 +838,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         batch_window=args.batch_window,
         shard_queue_limit=args.queue_limit,
-        engine=args.engine,
         job_timeout=args.job_timeout,
         cache_budget_bytes=args.cache_budget,
         admission_limit=args.admission_limit,
@@ -1028,7 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the non-perfect LLC + DRAM model (footnote 1)")
     _add_metrics_out(p, "sweep cache/timing counters")
     _add_manifest_out(p)
-    _add_engine(p)
     _add_common(p)
     p.set_defaults(fn=cmd_fig5)
 
@@ -1042,7 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(protocol registry plugin) as a fifth column")
     _add_metrics_out(p, "sweep cache/timing counters")
     _add_manifest_out(p)
-    _add_engine(p)
     _add_common(p)
     p.set_defaults(fn=cmd_fig6)
 
@@ -1070,11 +1049,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-fitness", action="store_true",
                    help="score timer vectors by *simulated* average memory "
                         "latency instead of the analytic WCML bound; each "
-                        "GA generation is batched through the lock-step "
-                        "engine (constraint C1 stays analytic)")
+                        "GA generation is one sweep-runner batch, run "
+                        "in-process on the lock-step engine (constraint "
+                        "C1 stays analytic)")
     _add_metrics_out(p, "the per-generation GA log (JSON Lines)")
     _add_manifest_out(p)
-    _add_engine(p)
     _add_common(p)
     p.set_defaults(fn=cmd_optimize)
 
@@ -1134,7 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="time-series sampling cadence for the telemetry "
                         "counters (0 disables sampling; only active with "
                         "--trace-out/--metrics-out)")
-    _add_engine(p, default="fast")
     _add_common(p)
     p.set_defaults(fn=cmd_simulate)
 
@@ -1153,7 +1131,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8765,
                    help="TCP port (0 = ephemeral; the bound port is printed)")
     p.add_argument("-j", "--jobs", type=_positive_int, default=1,
-                   help="worker processes of the underlying sweep runner")
+                   help="worker processes of the sweep runner's pool; jobs "
+                        "sharing one trace set run in-process on the "
+                        "lock-step engine instead")
     p.add_argument("--max-batch", type=_positive_int, default=8,
                    help="largest batch dispatched to the runner")
     p.add_argument("--batch-window", type=float, default=0.05,
@@ -1173,7 +1153,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "a cross-process lock) to stay within it "
                         "(default: 0 = unbounded)")
     p.add_argument("--job-timeout", type=float, default=None,
-                   help="per-job wall-clock timeout in seconds")
+                   help="per-job wall-clock timeout in seconds; enforced "
+                        "only on jobs that reach the process pool (see "
+                        "--jobs), never on jobs run in-process")
     p.add_argument("--metrics-out", default=None,
                    help="write a final /metrics snapshot here on drain "
                         "(atomic tmp-file + rename)")
@@ -1187,7 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest-out", default=None, metavar="FILE",
                    help="write a run manifest wrapping the final metrics "
                         "snapshot here on drain")
-    _add_engine(p)
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
@@ -1204,7 +1185,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="state directory: per-shard intake journals, "
                         "logs, oplogs (default: .cohort_fleet)")
     p.add_argument("-j", "--jobs", type=_positive_int, default=1,
-                   help="worker processes per shard's sweep runner")
+                   help="worker processes per shard's sweep runner; see "
+                        "`cohort serve --jobs`")
     p.add_argument("--max-batch", type=_positive_int, default=8,
                    help="largest chunk dispatched to one shard at once")
     p.add_argument("--batch-window", type=float, default=0.05,
@@ -1224,7 +1206,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-shard view of the shared cache's size "
                         "budget; see `cohort serve --cache-budget`")
     p.add_argument("--job-timeout", type=float, default=None,
-                   help="per-job wall-clock timeout in seconds")
+                   help="per-job timeout passed to every shard; see "
+                        "`cohort serve --job-timeout` (it never fires "
+                        "with the default --jobs 1)")
     p.add_argument("--heartbeat-deadline", type=float, default=3.0,
                    help="seconds without a healthy /healthz answer "
                         "before a shard is declared down and restarted")
@@ -1235,7 +1219,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append fleet lifecycle events (admit, dispatch, "
                         "shard_down, failover, journal_replay, retire) "
                         "to FILE")
-    _add_engine(p)
     p.set_defaults(fn=cmd_fleet)
 
     p = sub.add_parser(

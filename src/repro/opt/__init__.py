@@ -7,7 +7,7 @@
   Figure 2a, including the per-mode LUT generation of Section VI.
 * :mod:`repro.opt.search` — random-search / hill-climbing ablations.
 * :class:`repro.opt.simfit.SimulationFitness` — simulation-backed
-  fitness, batched per generation through the lock-step engine.
+  fitness, one sweep-runner batch per generation.
 """
 
 from repro.opt.engine import ModeTable, OptimizationEngine, OptimizationResult

@@ -73,11 +73,13 @@ class _PoolEvaluator:
         """Evaluate a batch; failed slots carry the exception instance."""
         results: List[Optional[object]] = [None] * len(batch)
         pool = self._ensure_pool()
-        futures = {
-            pool.submit(_fitness_worker, genes): i
-            for i, genes in enumerate(batch)
-        }
+        futures = {}
         broken = False
+        try:
+            for i, genes in enumerate(batch):
+                futures[pool.submit(_fitness_worker, genes)] = i
+        except BrokenProcessPool:
+            broken = True  # a worker died before the batch was submitted
         for future, i in futures.items():
             try:
                 results[i] = future.result()

@@ -1,4 +1,4 @@
-"""Simulation-backed GA fitness, batched through the lock-step engine.
+"""Simulation-backed GA fitness, one sweep-runner batch per generation.
 
 The stock :class:`~repro.opt.problem.TimerProblem` objective is the
 *analytic* worst-case bound (static cache analysis + WCML formulas).
@@ -10,8 +10,8 @@ established by one measured run).
 It implements the GA's ``MapFn`` contract, which is where the lock-step
 engine earns its keep: every generation is a batch of timer vectors
 over the *same* traces, so the internal :class:`~repro.runner.
-SweepRunner` (``engine="lockstep"`` by default) decodes the trace once
-and advances all candidate configurations together — and memoizes each
+SweepRunner` runs the candidates one after another on the lock-step
+engine, each reading the one cached trace decode — and memoizes each
 vector's result, so re-visited candidates across generations are cache
 hits, not simulations.
 
@@ -47,7 +47,6 @@ class SimulationFitness:
         problem: TimerProblem,
         base_config: SimConfig,
         traces: Sequence[Trace],
-        engine: str = "lockstep",
         runner: Optional[SweepRunner] = None,
     ) -> None:
         if base_config.num_cores != problem.num_cores:
@@ -60,9 +59,7 @@ class SimulationFitness:
         self.problem = problem
         self.base_config = base_config
         self.traces = tuple(traces)
-        self.runner = runner or SweepRunner(
-            jobs=1, cache_dir=None, engine=engine
-        )
+        self.runner = runner or SweepRunner(jobs=1, cache_dir=None)
 
     # -- MapFn ---------------------------------------------------------------
 

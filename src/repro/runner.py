@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.params import SimConfig, config_from_dict, config_to_dict
-from repro.sim.lockstep import lockstep_unsupported_reason, run_lockstep_batch
+from repro.sim.lockstep import LockstepSystem, lockstep_unsupported_reason
 from repro.sim.stats import STATS_SCHEMA_VERSION, SystemStats
 from repro.sim.system import run_simulation
 from repro.sim.trace import Trace, decode_stats
@@ -151,12 +151,9 @@ def _execute(payload: tuple) -> dict:
     """Worker entry point: rebuild the job from primitives and simulate.
 
     Takes plain lists/dicts rather than live objects so the pickled task
-    stays small and version-independent.  The optional sixth element
-    selects the engine for this job (``"seed"`` disables the inline
-    fast path; both produce identical results).
+    stays small and version-independent.
     """
-    cfg_dict, check, max_cycles, record, raw_traces = payload[:5]
-    engine = payload[5] if len(payload) > 5 else "fast"
+    cfg_dict, check, max_cycles, record, raw_traces = payload
     from dataclasses import replace
 
     config = replace(
@@ -165,10 +162,7 @@ def _execute(payload: tuple) -> dict:
         max_cycles=max_cycles,
     )
     traces = [Trace.from_arrays(g, o, a) for g, o, a in raw_traces]
-    stats = run_simulation(
-        config, traces, record_latencies=record,
-        fast_path=engine != "seed",
-    )
+    stats = run_simulation(config, traces, record_latencies=record)
     return stats_to_dict(stats)
 
 
@@ -196,7 +190,7 @@ def _execute_payload(payload: tuple, timeout: Optional[float]) -> dict:
         signal.signal(signal.SIGALRM, previous)
 
 
-def _job_payload(job: SweepJob, engine: str = "fast") -> tuple:
+def _job_payload(job: SweepJob) -> tuple:
     return (
         config_to_dict(job.config),
         job.config.check_coherence,
@@ -206,7 +200,6 @@ def _job_payload(job: SweepJob, engine: str = "fast") -> tuple:
             (t.gaps.tolist(), t.ops.tolist(), t.addrs.tolist())
             for t in job.traces
         ],
-        engine,
     )
 
 
@@ -214,10 +207,13 @@ def _job_payload(job: SweepJob, engine: str = "fast") -> tuple:
 class SweepRunner:
     """Runs batches of independent simulations, with caching.
 
-    ``jobs == 1`` executes inline (no process pool, no pickling); any
-    higher value fans the *uncached* jobs out to worker processes.  The
-    on-disk cache is shared between both modes and across runs; set
-    ``cache_dir=None`` to disable persistence entirely.
+    The runner alone picks each job's engine (results are bit-identical
+    on all of them).  An uncached job whose trace set another uncached
+    job of the batch shares runs in-process on the lock-step engine;
+    every other job runs on the per-event fast path, inline when
+    ``jobs == 1``, else on worker processes.  The on-disk cache is
+    shared by all of them and across runs; set ``cache_dir=None`` to
+    disable persistence entirely.
 
     The parallel path is crash-contained: every job is submitted as its
     own future, a worker death (``BrokenProcessPool``) quarantines and
@@ -233,7 +229,8 @@ class SweepRunner:
     jobs: int = 1
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR
     #: Per-job wall-clock timeout in seconds (None = unlimited); enforced
-    #: in-worker via SIGALRM on the parallel path only.
+    #: in-worker via SIGALRM on the parallel path only, so jobs that run
+    #: inline or in a lock-step group are never timed out.
     timeout: Optional[float] = None
     #: How many times one job may be re-run after a timeout or worker
     #: crash before the batch fails with :class:`SweepExecutionError`.
@@ -244,16 +241,6 @@ class SweepRunner:
     #: default).  Tests use "fork" so monkeypatched module state
     #: propagates into workers.
     mp_context: Optional[str] = None
-    #: Simulation engine: ``"lockstep"`` (default) routes groups of
-    #: uncached jobs that share identical traces through
-    #: :func:`repro.sim.lockstep.run_lockstep_batch` — one shared trace
-    #: decode and batched hit classification per group, with configs the
-    #: lock-step engine cannot serve peeled back to the per-event path.
-    #: ``"fast"`` / ``"seed"`` force the inline-retirement or
-    #: event-per-access engine for every job.  Results are bit-identical
-    #: across all three (the cross-engine equivalence suite pins this),
-    #: so cache entries are shared between engines.
-    engine: str = "lockstep"
     cache_hits: int = 0
     cache_misses: int = 0
     #: Simulations actually executed (cache misses that ran).
@@ -316,11 +303,6 @@ class SweepRunner:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.engine not in ("seed", "fast", "lockstep"):
-            raise ValueError(
-                f"engine must be 'seed', 'fast' or 'lockstep', "
-                f"got {self.engine!r}"
-            )
         if self.cache_budget_bytes < 0:
             raise ValueError("cache_budget_bytes must be >= 0")
         self._sweep_orphan_tmp()
@@ -658,7 +640,7 @@ class SweepRunner:
                 first_slot[key] = i
                 pending.append(i)
 
-        def publish(slot: int, result: dict) -> None:
+        def publish(slot: int, result: dict, engine: str) -> None:
             # Normalise through JSON so fresh and cached results are
             # indistinguishable (e.g. tuples become lists).
             result = json.loads(json.dumps(result))
@@ -666,20 +648,16 @@ class SweepRunner:
             results[slot] = result
             self._op_emit(
                 "execute", op_context, slot,
-                digest=keys[slot], engine=self.engine,
+                digest=keys[slot], engine=engine,
             )
             for dup in duplicates.get(keys[slot], ()):
                 results[dup] = result
 
-        if pending and self.engine == "lockstep":
-            pending = self._run_lockstep_groups(jobs, pending, publish)
-
+        pending = self._run_lockstep_groups(jobs, pending, publish)
         if pending:
             # Lock-step leftovers (singletons, unsupported configs) run
-            # on the fast per-event path; only engine="seed" forces the
-            # event-per-access engine everywhere.
-            worker_engine = "seed" if self.engine == "seed" else "fast"
-            payloads = [_job_payload(jobs[i], worker_engine) for i in pending]
+            # on the fast per-event path.
+            payloads = [_job_payload(jobs[i]) for i in pending]
             started = time.perf_counter()
             if self.jobs == 1 or len(pending) == 1:
                 fresh = [_execute(p) for p in payloads]
@@ -688,7 +666,7 @@ class SweepRunner:
             self.exec_seconds += time.perf_counter() - started
             self.jobs_executed += len(pending)
             for i, result in zip(pending, fresh):
-                publish(i, result)
+                publish(i, result, "fast")
         return results  # type: ignore[return-value]
 
     def _run_lockstep_groups(
@@ -701,13 +679,13 @@ class SweepRunner:
 
         Groups the uncached jobs by trace content (plus the
         ``record_latencies`` flag, which changes the result shape) and
-        evaluates every group of two or more supported configurations
-        through :func:`repro.sim.lockstep.run_lockstep_batch` — the
-        trace is decoded once and hit runs are classified in batch,
-        while each config keeps its own caches, bus and stats, so the
-        results are bit-identical to the per-event path.  Returns the
-        leftover job slots (singleton groups and unsupported configs)
-        for the normal execution path.
+        runs every member of a group of two or more supported
+        configurations, one config at a time, on its own
+        :class:`~repro.sim.lockstep.LockstepSystem`.  The trace decode
+        comes from the process-wide decode cache that every engine
+        reads; the results are bit-identical to the per-event path.
+        Returns the leftover job slots (singleton groups and unsupported
+        configs) for the normal execution path.
         """
         groups: Dict[Tuple[Tuple[str, ...], bool], List[int]] = {}
         leftover: List[int] = []
@@ -727,11 +705,12 @@ class SweepRunner:
                 leftover.extend(slots)
                 continue
             started = time.perf_counter()
-            batch = run_lockstep_batch(
-                [jobs[i].config for i in slots],
-                list(jobs[slots[0]].traces),
-                record_latencies=key[1],
-            )
+            batch = [
+                LockstepSystem(
+                    jobs[i].config, jobs[i].traces, record_latencies=key[1]
+                ).run()
+                for i in slots
+            ]
             self.exec_seconds += time.perf_counter() - started
             self.jobs_executed += len(slots)
             self.lockstep_groups += 1
@@ -741,7 +720,7 @@ class SweepRunner:
                 self._lockstep_group_sizes.get(size, 0) + 1
             )
             for i, stats in zip(slots, batch):
-                publish(i, stats_to_dict(stats))
+                publish(i, stats_to_dict(stats), "lockstep")
         leftover.sort()
         return leftover
 
@@ -848,7 +827,6 @@ class SweepRunner:
         decode = decode_stats
         return {
             "jobs": self.jobs,
-            "engine": self.engine,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hits / requested if requested else 0.0,

@@ -558,7 +558,6 @@ class ShardSupervisor:
         max_batch: int = 8,
         batch_window: float = 0.05,
         shard_queue_limit: int = 64,
-        engine: str = "lockstep",
         job_timeout: Optional[float] = None,
         cache_budget_bytes: int = 0,
         admission_limit: int = 256,
@@ -591,7 +590,6 @@ class ShardSupervisor:
         self.max_batch = max_batch
         self.batch_window = batch_window
         self.shard_queue_limit = shard_queue_limit
-        self.engine = engine
         self.job_timeout = job_timeout
         self.cache_budget_bytes = cache_budget_bytes
         self.admission_limit = admission_limit
@@ -662,6 +660,10 @@ class ShardSupervisor:
     def shards_up(self) -> int:
         return sum(1 for s in self.shards if s.state == "up")
 
+    def _drained(self) -> bool:
+        """Draining with nothing pending: every supervisor loop ends."""
+        return self._draining and not self._pending_count()
+
     async def start(self) -> None:
         """Cold-start: replay journals, spawn shards, start the loops."""
         self._replay_cold_start()
@@ -723,15 +725,14 @@ class ShardSupervisor:
         self._wake_all()
         while self._pending_count():
             await asyncio.sleep(0.02)
-        restart_tasks = [
-            s.restart_task
-            for s in self.shards
-            if s.restart_task is not None and not s.restart_task.done()
-        ]
-        for task in self._tasks + restart_tasks:
-            task.cancel()
+        # Every loop ends by itself once drained; wait, never cancel: on
+        # Python 3.11 the asyncio.wait_for in _http_json can lose a
+        # cancel that lands as its request completes.
+        self._wake_all()
         await asyncio.gather(
-            *self._tasks, *restart_tasks, return_exceptions=True
+            *self._tasks,
+            *(s.restart_task for s in self.shards if s.restart_task),
+            return_exceptions=True,
         )
         self._tasks = []
         await asyncio.gather(
@@ -773,7 +774,6 @@ class ShardSupervisor:
             "--batch-window", str(self.batch_window),
             "--queue-limit", str(self.shard_queue_limit),
             "--cache-dir", self.cache_dir,
-            "--engine", self.engine,
             "--oplog",
             os.path.join(self.fleet_dir, f"shard-{shard.index}.oplog.jsonl"),
         ]
@@ -817,6 +817,8 @@ class ShardSupervisor:
         self._spawn(shard)
         deadline = time.monotonic() + self.spawn_timeout
         while time.monotonic() < deadline:
+            if self._drained():
+                return  # drain stops the half-booted child
             if not shard.proc_alive():
                 # The child died before listening (port race, crash on
                 # boot): respawn on a fresh port and keep waiting.
@@ -956,6 +958,8 @@ class ShardSupervisor:
             attempt=shard.consecutive_restarts, backoff_s=round(backoff, 3),
         )
         await asyncio.sleep(backoff)
+        if self._drained():
+            return
         shard.restarts += 1
         self.restarts_total += 1
         await self._start_shard(shard)
@@ -964,7 +968,7 @@ class ShardSupervisor:
 
     async def _health_loop(self) -> None:
         loop = asyncio.get_running_loop()
-        while True:
+        while not self._drained():
             for shard in self.shards:
                 if shard.state == "up":
                     await self._probe(shard)
@@ -1145,9 +1149,8 @@ class ShardSupervisor:
         while True:
             chunk = self._take_chunk(shard.index)
             if not chunk:
-                if self._draining and not self._queues[shard.index]:
-                    if not self._pending_count():
-                        return
+                if self._drained():
+                    return
                 wakeup.clear()
                 try:
                     await asyncio.wait_for(wakeup.wait(), 0.2)

@@ -581,9 +581,8 @@ class BatchingService:
                 "runner_cache_misses": runner["cache_misses"],
                 "runner_cache_hit_rate": runner["cache_hit_rate"],
                 "runner_jobs_executed": runner["jobs_executed"],
-                "runner_engine": runner["engine"],
                 "oplog_events": self.oplog.events_emitted,
             },
-            engine=runner["engine"],
+            engine="lockstep",
             artifact_paths=list(artifact_paths),
         )

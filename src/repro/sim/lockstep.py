@@ -1,19 +1,19 @@
-"""The lock-step multi-config engine: amortise one trace across configs.
+"""The lock-step engine: plan whole runs of cache hits at once.
 
 The seed and ``fast_path`` engines pay one Python event (or at best one
-inlined ``try_access``) per memory access.  A parameter sweep or GA
-generation re-simulates the *same trace* under hundreds of timer/protocol
-configurations, so almost all of that per-access work is redundant: the
-trace decode is identical, and long runs of consecutive private-cache
-hits are fully determined by a tiny amount of per-config cache state.
+inlined ``try_access``) per memory access.  Long runs of consecutive
+private-cache hits are fully determined by a tiny amount of per-config
+cache state, so most of that per-access work is redundant.  A
+:class:`LockstepSystem` simulates one configuration; a parameter sweep
+or GA generation that replays the *same trace* under many timer vectors
+runs one such system per config (the sweep runner decides when).
 
 This module exploits that structure without giving up bit-identical
 results:
 
-* **Shared decode planes.**  All configs of a batch share one
-  :class:`~repro.sim.trace.DecodedTrace` per ``(trace, line_bytes)``:
-  line addresses, set indices and hit-chain due prefixes are computed
-  once (struct-of-arrays, one flat numpy plane per field).
+* **Decode planes.**  Line addresses, set indices and hit-chain due
+  prefixes come from the process-wide decode cache every engine reads
+  (:class:`~repro.sim.trace.DecodedTrace`, one flat numpy plane each).
 
 * **Mirrors + vectorised classification.**  Each config/core keeps two
   flat arrays indexed by cache set: the line address the set can serve
@@ -42,8 +42,8 @@ results:
   chain (previous accesses at their due cycles) down to the real kernel
   event that resumed the chain (a fill, or simulation start).
 
-Configs the plans cannot represent are *peeled*: they run on the
-ordinary per-event engine inside the same batch (see
+Configs the plans cannot represent are refused; the sweep runner
+*peels* them to the per-event engine (see
 :func:`lockstep_unsupported_reason`).  Everything else — bus
 arbitration, coherence requests, timers, write-backs, DRAM — runs
 through the unmodified engine/kernel machinery, which is what makes the
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cmp_to_key
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,19 +73,13 @@ from repro.sim.messages import CoherenceRequest
 from repro.sim.private_cache import EvictedLine, PrivateCache
 from repro.sim.protocols import get_protocol
 from repro.sim.stats import SystemStats
-from repro.sim.system import System, run_simulation
+from repro.sim.system import System
 from repro.sim.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fi.plan import FaultPlan
 
 __all__ = [
     "LockstepSystem",
     "LockstepUnsupported",
     "lockstep_unsupported_reason",
-    "run_lockstep_batch",
-    "run_simulation_lockstep",
-    "batch_stats",
 ]
 
 
@@ -886,60 +880,3 @@ class LockstepSystem(System):
             )
         return super().run()
 
-
-# --------------------------------------------------------------------- batch
-
-#: Cumulative process-local batch counters (surfaced by sweep telemetry).
-batch_stats = {"batches": 0, "configs": 0, "peeled": 0}
-
-
-def run_simulation_lockstep(
-    config: SimConfig,
-    traces: Sequence[Trace],
-    record_latencies: bool = False,
-    fault_plan: Optional["FaultPlan"] = None,
-) -> SystemStats:
-    """Run one config on the lock-step engine (peeling when unsupported)."""
-    if fault_plan is not None or lockstep_unsupported_reason(config):
-        return run_simulation(
-            config, traces, record_latencies=record_latencies,
-            fast_path=True, fault_plan=fault_plan,
-        )
-    return LockstepSystem(config, traces, record_latencies=record_latencies).run()
-
-
-def run_lockstep_batch(
-    configs: Sequence[SimConfig],
-    traces: Sequence[Trace],
-    record_latencies: bool = False,
-    fault_plans: Optional[Sequence[Optional["FaultPlan"]]] = None,
-) -> List[SystemStats]:
-    """Evaluate every config against one shared trace set.
-
-    The batch shares all decode planes (lists, set indices, due
-    prefixes) across configs; configs the plans cannot represent are
-    peeled to the per-event engine transparently.  Results are exactly
-    ``[run_simulation(cfg, traces, ...) for cfg in configs]``.
-    """
-    if fault_plans is not None and len(fault_plans) != len(configs):
-        raise ValueError("fault_plans must align with configs")
-    batch_stats["batches"] += 1
-    results: List[SystemStats] = []
-    for i, config in enumerate(configs):
-        plan = fault_plans[i] if fault_plans is not None else None
-        batch_stats["configs"] += 1
-        if plan is not None or lockstep_unsupported_reason(config):
-            batch_stats["peeled"] += 1
-            results.append(
-                run_simulation(
-                    config, traces, record_latencies=record_latencies,
-                    fast_path=True, fault_plan=plan,
-                )
-            )
-        else:
-            results.append(
-                LockstepSystem(
-                    config, traces, record_latencies=record_latencies
-                ).run()
-            )
-    return results

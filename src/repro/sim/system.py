@@ -153,7 +153,7 @@ class System:
     # ------------------------------------------------------- factory seams
     #
     # Component construction is routed through overridable hooks so that
-    # alternative engines (the lock-step batch engine of
+    # alternative engines (the lock-step engine of
     # :mod:`repro.sim.lockstep`) can substitute instrumented subclasses
     # without touching the wiring above.  The defaults build exactly the
     # components the seed engine always built.

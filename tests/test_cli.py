@@ -206,6 +206,57 @@ class TestTelemetryCommands:
         assert main(["metrics", str(tmp_path / "nope.json")]) == 1
 
 
+class TestManifestOut:
+    """``--manifest-out`` on the sweep commands, reloaded from disk."""
+
+    RUNNER_METRICS = (
+        "runner_cache_hits", "runner_cache_misses", "runner_cache_hit_rate",
+        "runner_jobs_executed", "runner_exec_seconds",
+        "runner_lockstep_groups", "runner_lockstep_jobs",
+        "runner_worker_failures", "runner_job_timeouts",
+    )
+    GA = ["--population", "6", "--generations", "2"]
+
+    def manifest(self, tmp_path, monkeypatch, argv):
+        from repro.qa import load_manifest
+
+        # A private cwd keeps the sweep cache of one test from the next.
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.manifest.json"
+        assert main(argv + ["--manifest-out", str(path)]) == 0
+        return load_manifest(str(path))
+
+    @pytest.mark.parametrize("command", ["fig5", "fig6"])
+    def test_sweep_manifest_carries_runner_metrics(
+        self, tmp_path, monkeypatch, command
+    ):
+        manifest = self.manifest(
+            tmp_path, monkeypatch,
+            [command, "-b", "water", "--scale", "0.3"] + self.GA,
+        )
+        assert (manifest.kind, manifest.engine) == (command, "lockstep")
+        metrics = manifest.metrics
+        for key in self.RUNNER_METRICS:
+            assert isinstance(metrics[key], (int, float)), key
+        assert metrics["runner_cache_misses"] > 0
+        assert metrics["runner_lockstep_jobs"] > 0
+
+    def test_optimize_sim_fitness_manifest_carries_sim_metrics(
+        self, tmp_path, monkeypatch
+    ):
+        manifest = self.manifest(
+            tmp_path, monkeypatch,
+            ["optimize", "-b", "water", "--scale", "0.3", "--sim-fitness"]
+            + self.GA,
+        )
+        assert (manifest.kind, manifest.engine) == ("optimize", "lockstep")
+        metrics = manifest.metrics
+        for key in ("sim_jobs_executed", "sim_cache_hits",
+                    "lockstep_groups", "lockstep_jobs"):
+            assert isinstance(metrics[key], int), key
+        assert 0 < metrics["lockstep_jobs"] <= metrics["sim_jobs_executed"]
+
+
 class TestFaultsCommand:
     def test_faults_small_campaign(self, capsys, tmp_path):
         import json

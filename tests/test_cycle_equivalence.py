@@ -68,20 +68,30 @@ def test_reference_workload_cycles_exact(system_key, fast_path):
 @pytest.mark.parametrize("system_key", sorted(CONFIGS))
 def test_reference_workload_cycles_exact_lockstep(system_key):
     """The lock-step engine reproduces the pinned reference too."""
-    from repro.sim.lockstep import run_simulation_lockstep
+    from repro.sim.lockstep import LockstepSystem
 
-    stats = run_simulation_lockstep(CONFIGS[system_key](), _traces())
+    stats = LockstepSystem(CONFIGS[system_key](), _traces()).run()
     assert _snapshot(stats) == REFERENCE["systems"][system_key]
 
 
 def test_reference_workload_cycles_exact_lockstep_batch():
-    """One batched lock-step run serves both reference configs exactly."""
-    from repro.sim.lockstep import run_lockstep_batch
+    """One sweep-runner batch serves both reference configs exactly,
+    through its lock-step group."""
+    from repro.runner import SweepRunner
 
-    keys = sorted(CONFIGS)
-    batch = run_lockstep_batch([CONFIGS[k]() for k in keys], _traces())
-    for key, stats in zip(keys, batch):
-        assert _snapshot(stats) == REFERENCE["systems"][key]
+    runner = SweepRunner(jobs=1, cache_dir=None)
+    results = runner.run_systems(
+        {key: CONFIGS[key]() for key in sorted(CONFIGS)}, _traces()
+    )
+    assert (runner.lockstep_groups, runner.lockstep_jobs) == (1, 2)
+    for key, result in results.items():
+        expected = REFERENCE["systems"][key]
+        snapshot = {k: result[k] for k in expected if k != "cores"}
+        snapshot["cores"] = [
+            {k: core[k] for k in expected["cores"][0]}
+            for core in result["cores"]
+        ]
+        assert snapshot == expected
 
 
 def test_reference_headline_cycles():

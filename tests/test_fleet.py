@@ -354,6 +354,73 @@ class TestSupervisorFailover:
         assert shard.breaker.allows()
 
 
+class TestDrain:
+    """Drain ends every supervisor loop without relying on cancellation."""
+
+    def test_drain_returns_when_a_probe_loses_a_cancel(
+        self, tmp_path, monkeypatch
+    ):
+        # On Python 3.11, the asyncio.wait_for inside _http_json can
+        # lose a cancel that lands just as the probe completes.  Here
+        # the probe loses the first cancel it sees; drain must still
+        # return and stop the shard.
+        from repro.serve import fleet
+
+        class LiveProcess:
+            pid = 4242
+            returncode = None
+
+            def poll(self):
+                return self.returncode
+
+            def terminate(self):
+                self.returncode = -signal.SIGTERM
+
+            kill = terminate
+
+            def wait(self, timeout=None):
+                return self.returncode
+
+        probing = asyncio.Event()
+        cancels = []
+
+        async def lossy_probe(host, port, method, path, **kwargs):
+            assert (method, path) == ("GET", "/healthz")
+            probing.set()
+            try:
+                await asyncio.sleep(0.05)
+            except asyncio.CancelledError:
+                cancels.append(True)
+                if len(cancels) > 1:
+                    raise
+            return 200, {"status": "ok"}
+
+        async def start_shard(shard):
+            shard.proc = LiveProcess()
+            shard.state = "up"
+            shard.last_healthy = time.monotonic()
+
+        monkeypatch.setattr(fleet, "_http_json", lossy_probe)
+        sup = fleet.ShardSupervisor(
+            shards=1,
+            fleet_dir=str(tmp_path / "fleet"),
+            cache_dir=str(tmp_path / "cache"),
+            health_interval=0.01,
+        )
+        sup._start_shard = start_shard
+
+        async def drive():
+            await sup.start()
+            await probing.wait()  # a probe is in flight
+            await asyncio.wait_for(sup.drain(), timeout=3)
+
+        asyncio.run(drive())
+        shard = sup.shards[0]
+        assert shard.state == "down"
+        assert shard.proc.returncode == -signal.SIGTERM
+        assert sup._tasks == []
+
+
 class TestFleetPrometheus:
     def _doc(self):
         return {

@@ -221,3 +221,28 @@ class TestPoolEvaluator:
             assert evaluator([[3, 3, 3]]) == [9.0]
         finally:
             evaluator.close()
+
+    def test_pool_breaking_during_submission_falls_back_in_process(
+        self, monkeypatch
+    ):
+        # A worker that dies while the batch is still being submitted
+        # makes the next submit() raise, not the result() calls.
+        from concurrent.futures.process import BrokenProcessPool
+
+        evaluator = _PoolEvaluator(DummyProblem(), jobs=2)
+        pool = evaluator._ensure_pool()
+        submitted = []
+
+        def submit(fn, *args):
+            if submitted:
+                raise BrokenProcessPool("a child process terminated")
+            submitted.append(args)
+            return pool.__class__.submit(pool, fn, *args)
+
+        monkeypatch.setattr(pool, "submit", submit)
+        try:
+            assert evaluator([[1, 1, 1], [2, 2, 2], [3, 3, 3]]) == [
+                3.0, 6.0, 9.0,
+            ]
+        finally:
+            evaluator.close()

@@ -1,13 +1,12 @@
-"""Cross-engine equivalence of the lock-step multi-config engine.
+"""Cross-engine equivalence of the lock-step engine.
 
-The lock-step engine (:mod:`repro.sim.lockstep`) amortises one trace
-decode across many configurations; its contract is that every result is
+The lock-step engine (:mod:`repro.sim.lockstep`) plans whole runs of
+cache hits at once; its contract is that every result is
 *bit-identical* to the per-event engines.  These tests check that
 contract property-style — randomized timer vectors over all registered
 protocols and arbiters, compared as full ``stats_to_dict`` documents —
-plus the peeling rules (unsupported configs and armed fault plans run
-on the per-event path transparently) and the sweep runner's same-trace
-group routing.
+plus the peeling rules (unsupported configs run on the per-event path
+transparently) and the sweep runner's same-trace group routing.
 """
 
 from dataclasses import replace
@@ -23,12 +22,12 @@ from repro.params import (
 )
 from repro.runner import SweepJob, SweepRunner, stats_to_dict
 from repro.sim.lockstep import (
+    LockstepSystem,
+    LockstepUnsupported,
     lockstep_unsupported_reason,
-    run_lockstep_batch,
-    run_simulation_lockstep,
 )
 from repro.sim.system import run_simulation
-from repro.workloads import splash_traces, timer_sweep, uniform_shared_mix
+from repro.workloads import timer_sweep, uniform_shared_mix
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +49,7 @@ class TestRandomizedCrossEngine:
         config = cohort_config(random_thetas(rng))
         seed = run_simulation(config, traces, fast_path=False)
         fast = run_simulation(config, traces, fast_path=True)
-        lock = run_simulation_lockstep(config, traces)
+        lock = LockstepSystem(config, traces).run()
         assert stats_to_dict(seed) == stats_to_dict(fast)
         assert stats_to_dict(fast) == stats_to_dict(lock)
 
@@ -66,13 +65,13 @@ class TestRandomizedCrossEngine:
             cohort_config(thetas), protocol=protocol, arbiter=arbiter
         )
         fast = run_simulation(config, traces, fast_path=True)
-        lock = run_simulation_lockstep(config, traces)
+        lock = LockstepSystem(config, traces).run()
         assert stats_to_dict(fast) == stats_to_dict(lock)
 
     def test_record_latencies_survive_lockstep(self, traces):
         config = cohort_config([60, 20, 20, 20])
         fast = run_simulation(config, traces, record_latencies=True)
-        lock = run_simulation_lockstep(config, traces, record_latencies=True)
+        lock = LockstepSystem(config, traces, record_latencies=True).run()
         assert stats_to_dict(fast) == stats_to_dict(lock)
 
 
@@ -85,28 +84,15 @@ class TestBatchPeeling:
         assert lockstep_unsupported_reason(checked) is not None
         # PMSI keeps the standard hit predicate, so it is lock-steppable.
         assert lockstep_unsupported_reason(pmsi) is None
-        batch = run_lockstep_batch([supported, checked, pmsi], traces)
-        for config, stats in zip([supported, checked, pmsi], batch):
+        with pytest.raises(LockstepUnsupported, match="check_coherence"):
+            LockstepSystem(checked, traces)
+        configs = [supported, checked, pmsi]
+        runner = SweepRunner(jobs=1, cache_dir=None)
+        batch = runner.run([SweepJob(c, tuple(traces)) for c in configs])
+        assert (runner.lockstep_jobs, runner.lockstep_peeled) == (2, 1)
+        for config, result in zip(configs, batch):
             direct = run_simulation(config, traces)
-            assert stats_to_dict(stats) == stats_to_dict(direct)
-
-    def test_fault_plans_peel_and_match_the_event_path(self):
-        """FI campaign smoke: an armed plan runs per-event, same result."""
-        from repro.fi import FaultPlan
-
-        traces = splash_traces("fft", 4, scale=0.2, seed=0)
-        config = cohort_config([100, 20, 20, 20])
-        baseline = run_simulation(config, traces)
-        plan = FaultPlan.generate(
-            seed=11, horizon=baseline.final_cycle, num_cores=4, n_faults=2
-        )
-        batch = run_lockstep_batch(
-            [config, config], traces, fault_plans=[None, plan]
-        )
-        clean = run_simulation(config, traces)
-        faulted = run_simulation(config, traces, fault_plan=plan)
-        assert stats_to_dict(batch[0]) == stats_to_dict(clean)
-        assert stats_to_dict(batch[1]) == stats_to_dict(faulted)
+            assert result == stats_to_dict(direct)
 
 
 class TestSweepRunnerRouting:
@@ -117,7 +103,6 @@ class TestSweepRunnerRouting:
 
     def test_same_trace_group_runs_in_lockstep(self, traces):
         runner = SweepRunner(jobs=1, cache_dir=None)
-        assert runner.engine == "lockstep"
         jobs = self.make_jobs(
             traces, [[60] * 4, [20] * 4, [5, 60, 200, MSI_THETA]]
         )
@@ -126,7 +111,6 @@ class TestSweepRunnerRouting:
         assert runner.lockstep_jobs == 3
         assert runner.jobs_executed == 3
         tele = runner.telemetry()
-        assert tele["engine"] == "lockstep"
         assert tele["lockstep_group_sizes"] == {"3": 1}
         assert tele["trace_decode_misses"] >= 0
         for job, result in zip(jobs, results):
@@ -143,14 +127,47 @@ class TestSweepRunnerRouting:
         assert runner.lockstep_peeled == 1
         assert runner.jobs_executed == 3
 
-    def test_engine_fast_and_seed_bypass_grouping(self, traces):
-        for engine in ("fast", "seed"):
-            runner = SweepRunner(jobs=1, cache_dir=None, engine=engine)
-            results = runner.run(self.make_jobs(traces, [[60] * 4, [20] * 4]))
-            assert runner.lockstep_groups == 0
-            for thetas, result in zip([[60] * 4, [20] * 4], results):
-                direct = run_simulation(cohort_config(thetas), traces)
-                assert result == stats_to_dict(direct)
+    def test_distinct_traces_bypass_grouping(self, traces):
+        # Each job replays its own trace prefix, so no two share a
+        # trace set and every job takes the per-event fast path.
+        jobs = [
+            SweepJob(
+                cohort_config(thetas),
+                tuple(t.slice(0, len(t) - i) for t in traces),
+            )
+            for i, thetas in enumerate([[60] * 4, [20] * 4])
+        ]
+        runner = SweepRunner(jobs=1, cache_dir=None)
+        results = runner.run(jobs)
+        assert runner.lockstep_groups == runner.lockstep_jobs == 0
+        assert runner.jobs_executed == 2
+        for job, result in zip(jobs, results):
+            direct = run_simulation(job.config, job.traces)
+            assert result == stats_to_dict(direct)
+
+    def test_execute_events_name_the_engine_that_ran(self, traces, tmp_path):
+        from repro.obs.ops import OpLogger, read_oplog
+
+        own = tuple(t.slice(0, len(t) - 1) for t in traces)
+        checked = replace(cohort_config([30] * 4), check_coherence=True)
+        jobs = self.make_jobs(traces, [[60] * 4, [20] * 4])
+        jobs += [
+            SweepJob(cohort_config([5] * 4), own),
+            SweepJob(checked, tuple(traces)),
+        ]
+        path = str(tmp_path / "oplog.jsonl")
+        with OpLogger(path=path) as log:
+            runner = SweepRunner(jobs=1, cache_dir=None, oplog=log)
+            runner.run(jobs)
+        engines = {
+            event["digest"]: event["engine"]
+            for event in read_oplog(path)
+            if event["event"] == "execute"
+        }
+        assert [engines[job.digest()] for job in jobs] == [
+            "lockstep", "lockstep", "fast", "fast",
+        ]
+        assert runner.lockstep_jobs == 2
 
     def test_lockstep_results_fill_the_shared_cache(self, traces, tmp_path):
         cache = str(tmp_path / "sweeps")
@@ -158,14 +175,10 @@ class TestSweepRunnerRouting:
         jobs = self.make_jobs(traces, [[60] * 4, [20] * 4])
         first.run(jobs)
         assert first.lockstep_jobs == 2
-        second = SweepRunner(jobs=1, cache_dir=cache, engine="fast")
+        second = SweepRunner(jobs=1, cache_dir=cache)
         second.run(jobs)
         assert second.cache_hits == 2
         assert second.jobs_executed == 0
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            SweepRunner(jobs=1, cache_dir=None, engine="warp")
 
 
 class TestTimerSweepWorkload:

@@ -45,14 +45,22 @@ def traces():
 
 
 def batch_with_poison(traces):
-    """Three innocent jobs plus one poison-marked job (slot 1)."""
+    """Three innocent jobs plus one poison-marked job (slot 1).
+
+    Each job replays its own trace prefix: jobs that share no trace set
+    are the traffic that reaches the process pool (a shared one would
+    run in-process on the lock-step engine).
+    """
     configs = [
         cohort_config([60, 20]),
         replace(cohort_config([80, 25]), max_cycles=POISON_MAX_CYCLES),
         cohort_config([100, 30]),
         cohort_config([120, 35]),
     ]
-    return [SweepJob(cfg, tuple(traces)) for cfg in configs]
+    return [
+        SweepJob(cfg, tuple(t.slice(0, len(t) - i) for t in traces))
+        for i, cfg in enumerate(configs)
+    ]
 
 
 def is_poison(payload) -> bool:
@@ -64,9 +72,6 @@ def resilient_runner(**kw) -> SweepRunner:
     kw.setdefault("cache_dir", None)
     kw.setdefault("mp_context", "fork")
     kw.setdefault("backoff_base", 0.001)
-    # These tests exercise the process-pool path; the lock-step default
-    # would serve the same-trace batch inline and never hit the pool.
-    kw.setdefault("engine", "fast")
     return SweepRunner(**kw)
 
 
@@ -174,6 +179,7 @@ class TestSimulationErrorsAreNotRetried:
         runner = resilient_runner()
         with pytest.raises(ValueError, match="deterministic"):
             runner.run(batch_with_poison(traces))
+        assert runner.parallel_batches == 1
         assert runner.job_retries == 0
         assert runner.worker_failures == 0
 
