@@ -1188,11 +1188,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes per shard's sweep runner; see "
                         "`cohort serve --jobs`")
     p.add_argument("--max-batch", type=_positive_int, default=8,
-                   help="largest chunk dispatched to one shard at once")
+                   help="largest runner batch per shard; see "
+                        "`cohort serve --max-batch`")
     p.add_argument("--batch-window", type=float, default=0.05,
                    help="per-shard batching window in seconds")
     p.add_argument("--queue-limit", type=_positive_int, default=64,
-                   help="per-shard admission queue bound")
+                   help="per-shard admission queue bound; the router "
+                        "leaves at most this many uncollected jobs on "
+                        "a shard")
     p.add_argument("--admission-limit", type=_positive_int, default=256,
                    help="fleet-wide pending-job bound; beyond it "
                         "submissions get 429 + Retry-After")

@@ -9,9 +9,10 @@ queue with explicit backpressure.  See ``docs/serving.md``.
 ``cohort fleet`` (:mod:`repro.serve.fleet`) scales that out and makes it
 self-healing: a :class:`ShardSupervisor` spawns N serve shards as
 subprocesses, routes jobs by consistent hash of their content key,
-write-ahead-journals every accepted job before acknowledging it, and
-restarts crashed or hung shards with capped exponential backoff while
-the survivors absorb the failover.
+write-ahead-journals every accepted job before acknowledging it,
+forwards each shard's jobs with one batching dispatch loop and one
+polling collector, and restarts crashed or hung shards with capped
+exponential backoff while the survivors absorb the failover.
 
 Public surface:
 
@@ -29,8 +30,8 @@ Public surface:
 * :class:`LoadGenerator` / :func:`arrival_schedule` /
   :func:`theta_population` — open-loop Poisson load generation for the
   capacity soak (``benchmarks/capacity_soak.py``),
-* :class:`WriteAheadJournal` / :class:`HashRing` /
-  :class:`CircuitBreaker` — the fleet's durability and routing pieces.
+* :class:`WriteAheadJournal` / :class:`HashRing` — the fleet's
+  durability and routing pieces.
 
 Operationally, every submission carries a trace id end to end
 (``X-Trace-Id``), the whole stack logs structured JSON-lines events
@@ -51,7 +52,6 @@ from repro.serve.loadgen import (
     theta_population,
 )
 from repro.serve.fleet import (
-    CircuitBreaker,
     FleetThread,
     HashRing,
     ShardSupervisor,
@@ -71,7 +71,6 @@ from repro.serve.service import (
 __all__ = [
     "BackpressureError",
     "BatchingService",
-    "CircuitBreaker",
     "DrainingError",
     "FleetThread",
     "HashRing",

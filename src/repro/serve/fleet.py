@@ -21,11 +21,15 @@ hardened on-disk result cache — and puts a supervising router in front:
   cold start.
 * **Supervision** — each shard is health-checked over ``/healthz``
   with a heartbeat deadline.  A crashed (``SIGKILL``), hung
-  (``SIGSTOP``), or flapping shard is declared down, its circuit
-  breaker opens (new traffic fails over to live shards via the ring),
-  its unfinished jobs are replayed, and the supervisor restarts it
-  with capped exponential backoff — re-closing the breaker only after
-  the replacement answers health checks.
+  (``SIGSTOP``), or flapping shard is declared down, new traffic fails
+  over to live shards via the ring, its unfinished jobs are replayed,
+  and the supervisor restarts it with capped exponential backoff.
+* **Forwarding** — each shard has one dispatch loop and one collector.
+  The dispatch loop posts the shard's queued jobs as one ``POST /jobs``
+  per trace id and never leaves more than the shard's queue limit
+  uncollected there; the collector polls all of the shard's dispatched
+  jobs with one ``POST /jobs/poll`` per pass.  Neither keeps a queue of
+  its own: both read a job's owner and status from its record.
 
 Everything is asyncio + stdlib, single event-loop-thread state like
 :class:`BatchingService`.  Journal fsyncs run on an executor thread so
@@ -47,7 +51,7 @@ import sys
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import hashlib
@@ -63,7 +67,6 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "CircuitBreaker",
     "FleetThread",
     "HashRing",
     "ShardSupervisor",
@@ -96,7 +99,7 @@ async def _http_json(
     Anything that smells like an unreachable peer — refused/reset
     connections, timeouts, a torn response — raises
     :class:`ShardUnreachableError` so callers have a single failure
-    signal to feed the circuit breaker.
+    signal to back off on.
     """
 
     async def _talk() -> Tuple[int, Any]:
@@ -372,76 +375,6 @@ class HashRing:
         return None
 
 
-# -- circuit breaker ---------------------------------------------------------
-
-
-class CircuitBreaker:
-    """Per-shard circuit breaker: ``closed`` → ``open`` → ``half_open``.
-
-    ``record_failure`` trips the breaker after ``threshold`` consecutive
-    failures (or immediately via :meth:`trip`); while open, :meth:`allows`
-    refuses until ``cooldown`` seconds have passed, then lets exactly one
-    probe through (``half_open``).  A success in half-open closes the
-    breaker; a failure re-opens it with doubled (capped) cooldown.
-    """
-
-    def __init__(
-        self,
-        threshold: int = 3,
-        cooldown: float = 1.0,
-        max_cooldown: float = 30.0,
-        clock=time.monotonic,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        self.threshold = threshold
-        self.base_cooldown = cooldown
-        self.max_cooldown = max_cooldown
-        self.clock = clock
-        self.state = "closed"
-        self.failures = 0
-        self.opened_at = 0.0
-        self.open_count = 0
-        self._cooldown = cooldown
-
-    @property
-    def cooldown(self) -> float:
-        return self._cooldown
-
-    def record_success(self) -> None:
-        """A request (or half-open probe) succeeded: close and reset."""
-        self.failures = 0
-        self.state = "closed"
-        self._cooldown = self.base_cooldown
-
-    def record_failure(self) -> None:
-        """Count a failure; trip at the threshold or on a failed probe."""
-        self.failures += 1
-        if self.state == "half_open" or self.failures >= self.threshold:
-            self.trip()
-
-    def trip(self) -> None:
-        """Open immediately (e.g. the supervisor watched the shard die)."""
-        if self.state != "open":
-            self.open_count += 1
-        previous = self._cooldown if self.state != "closed" else 0.0
-        self.state = "open"
-        self.opened_at = self.clock()
-        if previous:
-            self._cooldown = min(previous * 2, self.max_cooldown)
-
-    def allows(self) -> bool:
-        """Whether a request may be sent through right now."""
-        if self.state == "closed":
-            return True
-        if self.state == "open":
-            if self.clock() - self.opened_at >= self._cooldown:
-                self.state = "half_open"
-                return True
-            return False
-        return True  # half_open: one probe at a time is the caller's job
-
-
 # -- shard + job state -------------------------------------------------------
 
 
@@ -452,7 +385,8 @@ class FleetJob:
     ``queued`` (journaled, awaiting dispatch) → ``dispatched`` (accepted
     by a shard, remote id known) → ``done``/``failed``.  A shard death
     resets ``dispatched`` jobs back to ``queued`` (the journal entry is
-    still live) and may reassign ``shard``.
+    still live) and may reassign ``shard``; so does a shard that no
+    longer knows the remote id.
     """
 
     id: str
@@ -514,7 +448,6 @@ class ShardState:
     down_since: float = 0.0
     routed: int = 0
     completed: int = 0
-    breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
     journal: Optional[WriteAheadJournal] = None
     log_path: str = ""
     restart_task: Optional["asyncio.Task"] = None
@@ -568,8 +501,6 @@ class ShardSupervisor:
         restart_backoff_base: float = 0.25,
         restart_backoff_max: float = 5.0,
         stability_window: float = 10.0,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 1.0,
         spawn_timeout: float = 60.0,
         request_timeout: float = 30.0,
         label: str = "fleet",
@@ -611,9 +542,6 @@ class ShardSupervisor:
         for index in range(shards):
             shard = ShardState(
                 index=index,
-                breaker=CircuitBreaker(
-                    threshold=breaker_threshold, cooldown=breaker_cooldown
-                ),
                 journal=WriteAheadJournal(
                     os.path.join(self.fleet_dir, f"shard-{index}.journal.jsonl")
                 ),
@@ -622,21 +550,20 @@ class ShardSupervisor:
             self.shards.append(shard)
         self.ring = HashRing([s.index for s in self.shards])
         self._jobs: Dict[str, FleetJob] = {}
-        self._queues: Dict[int, List[FleetJob]] = {
-            s.index: [] for s in self.shards
-        }
         self._wakeups: Dict[int, asyncio.Event] = {}
         self._tasks: List[asyncio.Task] = []
         self._draining = False
         self._started_at = time.time()
         self._started_mono = time.monotonic()
-        # Admission accounting.  ``_pending`` counts jobs in "queued"/
-        # "dispatched" status; ``_reserved`` counts admission slots held
-        # by in-flight ``submit`` calls that have passed the limit check
-        # but not yet registered their records (journal fsyncs happen
-        # off-loop, so submit yields between check and append).  The
-        # limit check reads both, making check-and-reserve atomic.
-        self._pending = 0
+        # Admission accounting.  ``_unfinished`` holds the jobs in
+        # "queued"/"dispatched" status, in admission order (the
+        # forwarding loops find their shard's work there);
+        # ``_reserved`` counts admission slots held by in-flight
+        # ``submit`` calls that have passed the limit check but not yet
+        # registered their records (journal fsyncs happen off-loop, so
+        # submit yields between check and append).  The limit check
+        # reads both, making check-and-reserve atomic.
+        self._unfinished: Dict[str, FleetJob] = {}
         self._reserved = 0
         # Fleet-level counters surfaced through /metrics.
         self.jobs_submitted = 0
@@ -662,7 +589,7 @@ class ShardSupervisor:
 
     def _drained(self) -> bool:
         """Draining with nothing pending: every supervisor loop ends."""
-        return self._draining and not self._pending_count()
+        return self._draining and not self._unfinished
 
     async def start(self) -> None:
         """Cold-start: replay journals, spawn shards, start the loops."""
@@ -677,9 +604,8 @@ class ShardSupervisor:
         )
         loop = asyncio.get_running_loop()
         for shard in self.shards:
-            self._tasks.append(
-                loop.create_task(self._dispatch_loop(shard))
-            )
+            self._tasks.append(loop.create_task(self._dispatch_loop(shard)))
+            self._tasks.append(loop.create_task(self._collect_loop(shard)))
         self._tasks.append(loop.create_task(self._health_loop()))
 
     def _replay_cold_start(self) -> None:
@@ -709,8 +635,7 @@ class ShardSupervisor:
                     submitted_mono=time.monotonic(),
                 )
                 self._jobs[record.id] = record
-                self._queues[shard.index].append(record)
-                self._pending += 1
+                self._unfinished[record.id] = record
                 self.replayed_jobs += 1
                 self.oplog.emit(
                     "journal_replay", shard=shard.index, job_id=record.id,
@@ -720,10 +645,9 @@ class ShardSupervisor:
     async def drain(self) -> None:
         """Refuse new work, finish accepted jobs, stop shards cleanly."""
         self._draining = True
-        pending = self._pending_count()
-        self.oplog.emit("fleet_drain", pending=pending)
+        self.oplog.emit("fleet_drain", pending=len(self._unfinished))
         self._wake_all()
-        while self._pending_count():
+        while self._unfinished:
             await asyncio.sleep(0.02)
         # Every loop ends by itself once drained; wait, never cancel: on
         # Python 3.11 the asyncio.wait_for in _http_json can lose a
@@ -844,7 +768,6 @@ class ShardSupervisor:
                 shard.state = "up"
                 shard.last_healthy = now
                 shard.up_since = now
-                shard.breaker.record_success()
                 if shard.down_since:
                     recovered = now - shard.down_since
                     self.recovery_seconds.append(recovered)
@@ -874,12 +797,11 @@ class ShardSupervisor:
         )
 
     def _on_shard_down(self, shard: ShardState, reason: str) -> None:
-        """Fault path: open the breaker, replay the journal, failover."""
+        """Fault path: requeue the shard's unfinished jobs, fail over."""
         if shard.state == "down" or shard.state == "backoff":
             return
         shard.state = "down"
         shard.down_since = time.monotonic()
-        shard.breaker.trip()
         self.oplog.emit(
             "shard_down", shard=shard.index, reason=reason, pid=shard.pid,
             restarts=shard.restarts,
@@ -891,32 +813,18 @@ class ShardSupervisor:
                 shard.proc.kill()
             except OSError:
                 pass
-        # Replay the shard's accepted-but-unfinished jobs.  The journal
-        # is the source of truth for what was 202-acknowledged, but a
-        # job that failed over *to* this shard keeps its admit record
-        # in the admitting shard's journal — so the sweep is the union
-        # of this journal's live entries and every in-memory job this
-        # shard currently owns.
-        assert shard.journal is not None
-        live_ids = [doc["id"] for doc in shard.journal.live_jobs()]
-        seen = set(live_ids)
-        for job_id, job in self._jobs.items():
-            if job_id not in seen and job.shard == shard.index:
-                live_ids.append(job_id)
+        # Replay every unfinished job the shard owns: its journal's live
+        # entries, and the jobs that failed over *to* it, whose admit
+        # records stay in the admitting shard's journal.  A job admitted
+        # here that failed over elsewhere is owned, and in flight, there.
         alive = {
             s.index
             for s in self.shards
             if s.index != shard.index and s.state == "up"
         }
         requeued = 0
-        for job_id in live_ids:
-            record = self._jobs.get(job_id)
-            if record is None or record.status in ("done", "failed"):
-                continue
+        for record in self._unfinished.values():
             if record.shard != shard.index:
-                # Admitted here but failed over to another shard, whose
-                # queue and dispatch loop own it now — resetting it
-                # would re-execute a job healthily in flight elsewhere.
                 continue
             record.status = "queued"
             record.remote_id = None
@@ -934,8 +842,6 @@ class ShardSupervisor:
                     from_shard=record.shard, to_shard=target,
                 )
                 record.shard = target
-            if record not in self._queues[target]:
-                self._queues[target].append(record)
             self.replayed_jobs += 1
             self.oplog.emit(
                 "journal_replay", shard=shard.index, job_id=record.id,
@@ -1007,7 +913,6 @@ class ShardSupervisor:
         now = time.monotonic()
         if healthy:
             shard.last_healthy = now
-            shard.breaker.record_success()
             if (
                 shard.consecutive_restarts
                 and now - shard.up_since >= self.stability_window
@@ -1024,27 +929,15 @@ class ShardSupervisor:
 
     # -- submission / routing ------------------------------------------------
 
-    def _pending_count(self) -> int:
-        # Maintained incrementally (submit/replay +1, _finish -1): the
-        # old scan over every job ever admitted made each admission
-        # check O(total jobs) — quadratic over a long soak.
-        return self._pending
-
     def _route_key(self, key: str) -> int:
         """Pick the owning shard for a job key.
 
-        Healthy shards with closed breakers are preferred; when none
-        qualify (everything mid-restart) the full ring still assigns an
-        owner — the job waits, journaled, for the shard's return.
+        Shards that are up are preferred; when none are (everything
+        mid-restart) the full ring still assigns an owner — the job
+        waits, journaled, for the shard's return.
         """
-        preferred = {
-            s.index
-            for s in self.shards
-            if s.state == "up" and s.breaker.state == "closed"
-        }
-        target = self.ring.assign(key, preferred or None)
-        if target is None:
-            target = self.ring.assign(key)
+        up = {s.index for s in self.shards if s.state == "up"}
+        target = self.ring.assign(key, up or None)
         assert target is not None
         return target
 
@@ -1071,7 +964,7 @@ class ShardSupervisor:
             raise DrainingError("fleet is draining; not accepting jobs")
         if not specs:
             raise JobSpecError("submission contains no jobs")
-        pending = self._pending + self._reserved
+        pending = len(self._unfinished) + self._reserved
         if pending + len(specs) > self.admission_limit:
             self.jobs_rejected += len(specs)
             self.oplog.emit(
@@ -1117,12 +1010,11 @@ class ShardSupervisor:
                     shard_id,
                 )
                 self._jobs[record.id] = record
-                self._queues[shard_id].append(record)
+                self._unfinished[record.id] = record
                 shard.routed += 1
                 records.append(record)
                 # Convert one reservation into a registered pending job.
                 self._reserved -= 1
-                self._pending += 1
                 self.oplog.emit(
                     "admit", trace_id=trace_id, job_id=record.id,
                     shard=shard_id, spec_key=key,
@@ -1141,150 +1033,131 @@ class ShardSupervisor:
         for event in self._wakeups.values():
             event.set()
 
-    # -- dispatch ------------------------------------------------------------
+    # -- dispatch and collection ---------------------------------------------
+
+    def _owned(self, shard: ShardState, status: str) -> List[FleetJob]:
+        """The shard's unfinished jobs in ``status``, in admission order."""
+        return [
+            r for r in self._unfinished.values()
+            if r.shard == shard.index and r.status == status
+        ]
 
     async def _dispatch_loop(self, shard: ShardState) -> None:
-        """Forward this shard's queued jobs and chase their results."""
+        """Post this shard's queued jobs, one ``POST /jobs`` per trace id.
+
+        At most ``shard_queue_limit`` jobs are left uncollected on the
+        shard, so the router never provokes a 429 from it.
+        """
         wakeup = self._wakeups[shard.index]
-        while True:
-            chunk = self._take_chunk(shard.index)
-            if not chunk:
-                if self._drained():
-                    return
-                wakeup.clear()
-                try:
-                    await asyncio.wait_for(wakeup.wait(), 0.2)
-                except asyncio.TimeoutError:
-                    pass
+        while not self._drained():
+            room = self.shard_queue_limit - len(self._owned(shard, "dispatched"))
+            batch = self._owned(shard, "queued")[:max(room, 0)]
+            if shard.state == "up" and batch:
+                trace_id = batch[0].trace_id
+                await self._post(
+                    shard, [r for r in batch if r.trace_id == trace_id]
+                )
                 continue
-            if shard.state != "up" or not shard.breaker.allows():
-                # Not routable right now: put the chunk back and let
-                # the health loop / failover move things along.
-                self._requeue(shard.index, chunk)
-                await asyncio.sleep(0.1)
-                continue
-            await self._dispatch_chunk(shard, chunk)
+            wakeup.clear()
+            try:
+                await asyncio.wait_for(wakeup.wait(), 0.2)
+            except asyncio.TimeoutError:
+                pass
 
-    def _take_chunk(self, shard_id: int) -> List[FleetJob]:
-        queue = self._queues[shard_id]
-        chunk: List[FleetJob] = []
-        remaining: List[FleetJob] = []
-        for record in queue:
-            if record.status == "queued" and record.shard == shard_id:
-                if len(chunk) < self.max_batch:
-                    chunk.append(record)
-                else:
-                    remaining.append(record)
-            elif record.status in ("queued", "dispatched") and (
-                record.shard != shard_id
-            ):
-                # Failover moved it; its new queue already holds it.
-                continue
-        self._queues[shard_id] = remaining
-        return chunk
-
-    def _requeue(self, shard_id: int, chunk: List[FleetJob]) -> None:
-        front = [r for r in chunk if r.status == "queued"]
-        self._queues[shard_id] = front + self._queues[shard_id]
-
-    async def _dispatch_chunk(
-        self, shard: ShardState, chunk: List[FleetJob]
-    ) -> None:
-        """Submit a chunk to one shard and poll it to completion."""
-        for record in chunk:
+    async def _post(self, shard: ShardState, records: List[FleetJob]) -> None:
+        """One ``POST /jobs`` of same-trace ``records``; backs off on refusal."""
+        trace_id = records[0].trace_id
+        try:
+            status, doc = await _http_json(
+                self.host, shard.port, "POST", "/jobs",
+                doc={"jobs": [r.spec.to_dict() for r in records]},
+                timeout=self.request_timeout,
+                headers={"X-Trace-Id": trace_id} if trace_id else None,
+            )
+        except ShardUnreachableError:
+            # The health loop decides whether the shard is down; until
+            # then the records stay queued here.
+            await asyncio.sleep(self.health_interval)
+            return
+        if status in (429, 503):
+            await asyncio.sleep(self.retry_after)
+            return
+        accepted = doc.get("jobs") if isinstance(doc, dict) else None
+        ok = status == 202 and isinstance(accepted, list) and (
+            len(accepted) == len(records)
+        )
+        detail = doc.get("error") if isinstance(doc, dict) else None
+        for i, record in enumerate(records):
+            # Failover may have moved the record while the request was
+            # in flight; then it is no longer this shard's to update.
             if record.status != "queued" or record.shard != shard.index:
                 continue
-            try:
-                status, doc = await _http_json(
-                    self.host, shard.port, "POST", "/jobs",
-                    doc=record.spec.to_dict(),
-                    timeout=self.request_timeout,
-                    headers=(
-                        {"X-Trace-Id": record.trace_id}
-                        if record.trace_id else None
-                    ),
-                )
-            except ShardUnreachableError:
-                shard.breaker.record_failure()
-                # _take_chunk removed every member from the queue: put
-                # all still-queued ones back (not just this record),
-                # then fall through so members already dispatched this
-                # round are still collected.
-                self._requeue(shard.index, chunk)
-                break
-            if status == 202 and isinstance(doc, dict) and doc.get("jobs"):
-                record.remote_id = doc["jobs"][0]["id"]
-                record.status = "dispatched"
-                record.attempts += 1
-                self.oplog.emit(
-                    "dispatch", job_id=record.id, trace_id=record.trace_id,
-                    shard=shard.index, remote_id=record.remote_id,
-                )
-            elif status in (429, 503):
-                self._requeue(shard.index, chunk)
-                await asyncio.sleep(self.retry_after)
-                break
-            else:
-                detail = (
-                    doc.get("error") if isinstance(doc, dict) else None
-                )
+            if not ok:
                 self._finish(
                     record,
                     error=f"shard {shard.index} refused job "
                           f"({status}): {detail or 'no detail'}",
                 )
-        await self._collect(shard, chunk)
+                continue
+            record.remote_id = accepted[i]["id"]
+            record.status = "dispatched"
+            record.attempts += 1
+            self.oplog.emit(
+                "dispatch", job_id=record.id, trace_id=record.trace_id,
+                shard=shard.index, remote_id=record.remote_id,
+            )
 
-    async def _collect(
-        self, shard: ShardState, chunk: List[FleetJob]
-    ) -> None:
-        """Poll the shard until every dispatched job in ``chunk`` lands."""
-        while True:
-            waiting = [
-                r for r in chunk
-                if r.status == "dispatched" and r.shard == shard.index
-            ]
-            if not waiting:
-                return
-            if shard.state != "up":
-                # The health loop declared the shard down; replay owns
-                # these records now.
-                return
-            unreachable = False
-            for record in waiting:
+    async def _collect_loop(self, shard: ShardState) -> None:
+        """Poll all of this shard's dispatched jobs, one request per pass."""
+        while not self._drained():
+            waiting = {r.remote_id: r for r in self._owned(shard, "dispatched")}
+            if shard.state == "up" and waiting:
                 try:
                     status, doc = await _http_json(
-                        self.host, shard.port, "GET",
-                        f"/jobs/{record.remote_id}",
+                        self.host, shard.port, "POST", "/jobs/poll",
+                        doc={"ids": list(waiting)},
                         timeout=self.request_timeout,
                     )
                 except ShardUnreachableError:
-                    # Transient while the shard is still marked up:
-                    # keep polling — nothing else re-polls dispatched
-                    # jobs, and if the shard really died the health
-                    # loop flips its state and the check above hands
-                    # the records to journal replay.
-                    shard.breaker.record_failure()
-                    unreachable = True
-                    break
-                if status != 200 or not isinstance(doc, dict):
-                    # Unknown id after a silent shard restart: requeue.
-                    record.status = "queued"
-                    record.remote_id = None
-                    self._queues[shard.index].append(record)
+                    # Transient while the shard is still marked up: if it
+                    # really died, the health loop declares it down and
+                    # replay takes these records over.
+                    await asyncio.sleep(self.health_interval)
                     continue
-                if doc.get("status") == "done":
-                    record.digest = doc.get("digest")
-                    self._finish(record, result=doc.get("result"))
-                    shard.completed += 1
-                elif doc.get("status") == "failed":
-                    self._finish(
-                        record,
-                        error=doc.get("error") or "shard execution failed",
-                    )
-            await asyncio.sleep(
-                self.health_interval if unreachable else 0.05
-            )
+                if status == 200 and isinstance(doc, dict):
+                    self._land(shard, waiting, doc)
+            await asyncio.sleep(0.05)
+
+    def _land(
+        self, shard: ShardState, waiting: Dict[Optional[str], FleetJob],
+        doc: Dict[str, Any],
+    ) -> None:
+        """Apply one ``/jobs/poll`` answer; wake the dispatch loop."""
+        remote_docs = doc.get("jobs") or {}
+        unknown = set(doc.get("unknown") or ())
+        for remote_id, record in waiting.items():
+            if (
+                record.status != "dispatched"
+                or record.shard != shard.index
+                or record.remote_id != remote_id
+            ):
+                continue  # failed over or requeued while polling
+            remote = remote_docs.get(remote_id) or {}
+            if remote_id in unknown:
+                # The shard no longer knows the id: send the job again.
+                record.status = "queued"
+                record.remote_id = None
+            elif remote.get("status") == "done":
+                record.digest = remote.get("digest")
+                self._finish(record, result=remote.get("result"))
+                shard.completed += 1
+            elif remote.get("status") == "failed":
+                self._finish(
+                    record,
+                    error=remote.get("error") or "shard execution failed",
+                )
+        # Collected or requeued jobs may have opened room in the window.
+        self._wakeups[shard.index].set()
 
     def _finish(
         self,
@@ -1292,8 +1165,7 @@ class ShardSupervisor:
         result: Optional[dict] = None,
         error: Optional[str] = None,
     ) -> None:
-        if record.status in ("queued", "dispatched"):
-            self._pending -= 1
+        self._unfinished.pop(record.id, None)
         record.finished_at = time.time()
         record.finished_mono = time.monotonic()
         if error is None:
@@ -1344,10 +1216,9 @@ class ShardSupervisor:
                     "state": shard.state,
                     "restarts": shard.restarts,
                     "consecutive_restarts": shard.consecutive_restarts,
-                    "breaker": shard.breaker.state,
                     "routed": shard.routed,
                     "completed": shard.completed,
-                    "queue_depth": len(self._queues[shard.index]),
+                    "queue_depth": len(self._owned(shard, "queued")),
                     # Explicit None test: a monotonic reading of 0.0 is
                     # a legitimate "healthy right now" timestamp.
                     "last_healthy_age_s": (
@@ -1367,7 +1238,7 @@ class ShardSupervisor:
                 "shards_total": len(self.shards),
                 "shards_up": self.shards_up,
                 "draining": self._draining,
-                "admission_pending": self._pending_count(),
+                "admission_pending": len(self._unfinished),
                 "admission_limit": self.admission_limit,
                 "jobs_submitted": self.jobs_submitted,
                 "jobs_completed": self.jobs_completed,
@@ -1450,7 +1321,7 @@ class ShardSupervisor:
             "status": status,
             "shards_up": up,
             "shards_total": total,
-            "pending": self._pending_count(),
+            "pending": len(self._unfinished),
         }
 
     # -- HTTP front-end lifecycle (repro.serve.server.run_server) -----------

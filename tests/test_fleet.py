@@ -1,14 +1,17 @@
 """Tests for the shard fleet (repro.serve.fleet).
 
-Unit tests cover the routing ring, the circuit breaker and the fleet's
-Prometheus exposition without any processes.  Integration tests run a
-real :class:`FleetThread` — actual ``cohort serve`` subprocesses under
-a supervising router — and exercise the failure paths the fleet exists
-for: a SIGKILLed shard mid-flight must lose nothing, and a restarting
-endpoint must be survivable by a retrying client.
+Unit tests cover the routing ring, the fleet's Prometheus exposition
+and the router's dispatch loop and collector without any processes:
+the shards are an in-memory stand-in behind a stubbed ``_http_json``.
+Integration tests run a real :class:`FleetThread` — actual ``cohort
+serve`` subprocesses under a supervising router — and exercise the
+failure paths the fleet exists for: a SIGKILLed shard mid-flight must
+lose nothing, and a restarting endpoint must be survivable by a
+retrying client.
 """
 
 import asyncio
+import collections
 import json
 import os
 import signal
@@ -26,7 +29,6 @@ from repro.obs.promexport import (
     prometheus_from_fleet_metrics,
 )
 from repro.serve import (
-    CircuitBreaker,
     FleetThread,
     HashRing,
     ServeClient,
@@ -41,6 +43,189 @@ def tiny_specs(count):
     return [
         dict(TINY, thetas=[60 + 10 * i, 20, 20, 20]) for i in range(count)
     ]
+
+
+class LiveProcess:
+    """A shard process stand-in: alive until terminated or killed."""
+
+    pid = 4242
+    returncode = None
+
+    def poll(self):
+        return self.returncode
+
+    def terminate(self):
+        self.returncode = -signal.SIGTERM
+
+    kill = terminate
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+
+#: One request the router sent a shard, as FakeShards logs it.
+Request = collections.namedtuple(
+    "Request", "port method path doc headers at"
+)
+
+#: Every request the router may send a shard.
+ROUTER_REQUESTS = {
+    ("GET", "/healthz"), ("GET", "/metrics"),
+    ("POST", "/jobs"), ("POST", "/jobs/poll"),
+}
+
+
+class FakeShards:
+    """In-memory shards behind a stubbed ``repro.serve.fleet._http_json``.
+
+    Models the shard HTTP API per port and logs every request as a
+    :data:`Request` stamped with monotonic time.  A job is
+    ``done`` on its first poll unless its remote id is in ``held``; an
+    id in ``forget`` is dropped and answered as unknown.  ``refuse``
+    makes every POST fail as if the shard were unreachable;
+    ``queue_limit`` answers 429 to a POST that would leave more than
+    that many uncollected jobs on one shard; ``refusals`` holds statuses
+    to answer the next ``POST /jobs`` requests with; ``on_request``
+    runs while each request is in flight.
+    """
+
+    def __init__(self):
+        self.log = []
+        self.open = {}  # remote id -> port: accepted, not yet collected
+        self.minted = 0
+        self.held = set()
+        self.forget = set()
+        self.refuse = False
+        self.queue_limit = None
+        self.refusals = []
+        self.rejected = 0
+        self.on_request = None
+
+    def requests(self, method, path):
+        return [r for r in self.log if (r.method, r.path) == (method, path)]
+
+    def _record(self, remote_id):
+        if remote_id in self.held:
+            return {"id": remote_id, "status": "running"}
+        self.open.pop(remote_id, None)
+        return {
+            "id": remote_id, "status": "done", "digest": remote_id,
+            "result": {"final_cycle": 1},
+        }
+
+    async def __call__(
+        self, host, port, method, path, doc=None, timeout=5.0, headers=None
+    ):
+        from repro.serve.fleet import ShardUnreachableError
+
+        request = Request(
+            port, method, path, doc, headers or {}, time.monotonic()
+        )
+        self.log.append(request)
+        if self.on_request is not None:
+            self.on_request(request)
+        if method == "POST" and self.refuse:
+            raise ShardUnreachableError("connection refused")
+        if (method, path) in (("GET", "/healthz"), ("GET", "/metrics")):
+            return 200, {"status": "ok"}
+        if (method, path) == ("POST", "/jobs"):
+            if self.refusals:
+                return self.refusals.pop(0), {"error": "refused"}
+            specs = doc["jobs"] if "jobs" in doc else [doc]
+            uncollected = sum(1 for p in self.open.values() if p == port)
+            if self.queue_limit and uncollected + len(specs) > self.queue_limit:
+                self.rejected += 1
+                return 429, {"error": "queue full", "retry_after": 0.01}
+            ids = [f"remote-{self.minted + i}" for i in range(len(specs))]
+            self.minted += len(specs)
+            self.open.update(dict.fromkeys(ids, port))
+            return 202, {"jobs": [{"id": i, "status": "queued"} for i in ids]}
+        if (method, path) == ("POST", "/jobs/poll"):
+            unknown = [i for i in doc["ids"] if i in self.forget]
+            for remote_id in unknown:
+                self.open.pop(remote_id, None)
+            return 200, {
+                "jobs": {
+                    i: self._record(i) for i in doc["ids"] if i not in unknown
+                },
+                "unknown": unknown,
+            }
+        if method == "GET" and path.startswith("/jobs/"):
+            return 200, self._record(path[len("/jobs/"):])
+        return 404, {"error": f"no route for {path}"}
+
+
+@pytest.fixture
+def fake_fleet(tmp_path, monkeypatch):
+    """Build an unstarted supervisor whose shards are a FakeShards.
+
+    Its ``_start_shard`` marks a shard up on a fake port without
+    spawning anything, and a 0.05 s health interval keeps ``drain``
+    short.  After the test, every request the router sent must be one
+    of :data:`ROUTER_REQUESTS`.
+    """
+    from repro.serve import fleet
+
+    made = []
+
+    def make(shards=1, **kwargs):
+        fake = FakeShards()
+        monkeypatch.setattr(fleet, "_http_json", fake)
+        sup = fleet.ShardSupervisor(
+            shards=shards,
+            fleet_dir=str(tmp_path / "fleet"),
+            cache_dir=str(tmp_path / "cache"),
+            health_interval=0.05,
+            **kwargs,
+        )
+
+        async def start_shard(shard):
+            shard.proc = LiveProcess()
+            shard.port = 9000 + shard.index
+            shard.state = "up"
+            shard.last_healthy = time.monotonic()
+            sup._wakeups[shard.index].set()
+
+        sup._start_shard = start_shard
+        made.append(fake)
+        return sup, fake
+
+    yield make
+    for fake in made:
+        assert {(r.method, r.path) for r in fake.log} <= ROUTER_REQUESTS
+
+
+async def until(predicate, timeout=2.0):
+    """Yield to the event loop until ``predicate()`` holds."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "condition not met in time"
+        await asyncio.sleep(0.005)
+
+
+def fleet_specs(count, base=0):
+    from repro.serve import JobSpec
+
+    return [
+        JobSpec.from_dict(dict(TINY, seed=base + i)) for i in range(count)
+    ]
+
+
+def all_done(records):
+    return all(r.status == "done" for r in records)
+
+
+def hold(sup):
+    """Keep the forwarding loops off every shard: they skip non-up ones."""
+    for shard in sup.shards:
+        shard.state = "starting"
+
+
+def release(sup):
+    for shard in sup.shards:
+        shard.state = "up"
+    sup._wake_all()
 
 
 class TestHashRing:
@@ -76,66 +261,13 @@ class TestHashRing:
             HashRing([])
 
 
-class TestCircuitBreaker:
-    def _clocked(self, **kwargs):
-        now = [0.0]
-        breaker = CircuitBreaker(clock=lambda: now[0], **kwargs)
-        return breaker, now
-
-    def test_trips_after_threshold_failures(self):
-        breaker, _ = self._clocked(threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allows()
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allows()
-
-    def test_cooldown_lets_one_probe_through(self):
-        breaker, now = self._clocked(threshold=1, cooldown=5.0)
-        breaker.record_failure()
-        assert not breaker.allows()
-        now[0] = 5.1
-        assert breaker.allows()
-        assert breaker.state == "half_open"
-
-    def test_half_open_failure_doubles_cooldown(self):
-        breaker, now = self._clocked(threshold=1, cooldown=2.0)
-        breaker.record_failure()
-        now[0] = 2.1
-        assert breaker.allows()
-        breaker.record_failure()  # probe failed
-        assert breaker.state == "open"
-        assert breaker.cooldown == 4.0
-        now[0] = 2.1 + 3.9
-        assert not breaker.allows()
-
-    def test_success_closes_and_resets(self):
-        breaker, now = self._clocked(threshold=1, cooldown=2.0)
-        breaker.record_failure()
-        now[0] = 2.1
-        assert breaker.allows()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.cooldown == 2.0
-
-    def test_cooldown_is_capped(self):
-        breaker, now = self._clocked(
-            threshold=1, cooldown=2.0, max_cooldown=5.0
-        )
-        for _ in range(5):
-            breaker.record_failure()
-            now[0] += breaker.cooldown + 0.1
-            assert breaker.allows()
-        assert breaker.cooldown <= 5.0
-
-
 class TestSupervisorFailover:
     """Supervisor bookkeeping on the fault paths, without processes.
 
-    These drive :meth:`ShardSupervisor._on_shard_down`, the dispatch
-    chunk error paths, and the health loop directly against dead ports
-    and hand-built job records — the cascading-failure orderings here
-    are deterministic where the chaos soak's are not.
+    These drive :meth:`ShardSupervisor._on_shard_down`, the forwarding
+    loops' error paths and the health loop directly against dead ports,
+    hand-built job records and fake processes — the cascading-failure
+    orderings here are deterministic where the chaos soak's are not.
     """
 
     def _supervisor(self, tmp_path, shards=2, **kwargs):
@@ -170,14 +302,13 @@ class TestSupervisorFailover:
         sup._on_shard_down(sup.shards[a], "test kill A")
         assert record.shard == b and record.status == "queued"
         sup.shards[a].state = "up"  # A restarted
-        # B dispatched the job (its dispatch loop took it off the queue).
-        sup._queues[b].remove(record)
-        record.status = "dispatched"
+        record.status = "dispatched"  # B's dispatch loop sent it
         record.remote_id = "remote-1"
         sup._on_shard_down(sup.shards[b], "test kill B")
         assert record.status == "queued"
         assert record.shard == a
-        assert record in sup._queues[a]
+        assert record.remote_id is None
+        assert sup._owned(sup.shards[a], "queued") == [record]
         assert record.failovers == 2
 
     def test_replay_skips_jobs_already_failed_over_elsewhere(self, tmp_path):
@@ -189,71 +320,82 @@ class TestSupervisorFailover:
         b = 1 - a
         sup._on_shard_down(sup.shards[a], "test kill A")
         sup.shards[a].state = "up"  # A restarted
-        sup._queues[b].remove(record)
         record.status = "dispatched"
         record.remote_id = "remote-1"
         failovers = record.failovers
         sup._on_shard_down(sup.shards[a], "test kill A again")
         assert record.status == "dispatched"
         assert record.shard == b
+        assert record.remote_id == "remote-1"
         assert record.failovers == failovers
-        # A's queue may still hold a stale entry from the original
-        # admit (dropped lazily by _take_chunk) — what matters is that
-        # neither dispatch loop would pick the job up again.
-        assert sup._take_chunk(a) == []
-        assert record not in sup._queues[b]
-
-    def _hand_built_chunk(self, sup, count):
-        from repro.serve import JobSpec
-        from repro.serve.fleet import FleetJob
-
-        chunk = [
-            FleetJob(
-                id=f"job-{i}", spec=JobSpec.from_dict(TINY), shard=0,
-                submitted_at=time.time(),
-            )
-            for i in range(count)
-        ]
-        for record in chunk:
-            sup._jobs[record.id] = record
-        return chunk
+        # Neither dispatch loop would send the job again.
+        assert all(not sup._owned(shard, "queued") for shard in sup.shards)
 
     def test_unreachable_shard_requeues_whole_chunk(self, tmp_path):
-        # _take_chunk already removed the chunk from the queue; a POST
-        # failure must put every still-queued member back, not just the
-        # record that hit the error.
+        # A POST that cannot reach the shard must leave every job it
+        # carried queued on that shard, in order, for the dispatch loop
+        # to send again — not just the first, and none failed.
+        from repro.serve import JobSpec
         from repro.serve.fleet import free_port
 
-        sup = self._supervisor(tmp_path, shards=1)
+        sup = self._supervisor(tmp_path, shards=1, health_interval=0.01)
         shard = sup.shards[0]
         shard.port = free_port()  # nothing listening
-        chunk = self._hand_built_chunk(sup, 3)
-        asyncio.run(sup._dispatch_chunk(shard, chunk))
-        assert all(r.status == "queued" for r in chunk)
-        assert [r.id for r in sup._queues[0]] == [r.id for r in chunk]
+        chunk = asyncio.run(sup.submit([
+            JobSpec.from_dict(dict(TINY, seed=i)) for i in range(3)
+        ]))
+        asyncio.run(sup._post(shard, chunk))
+        assert all(
+            (r.status, r.remote_id, r.attempts) == ("queued", None, 0)
+            for r in chunk
+        )
+        assert sup._owned(shard, "queued") == chunk
+        assert sup.jobs_failed == 0
 
-    def test_collect_retries_while_shard_marked_up(self, tmp_path):
-        # A transient poll failure must not abandon dispatched jobs:
-        # _collect keeps polling until the health loop flips the state,
-        # at which point journal replay owns the records.
-        from repro.serve.fleet import FleetJob, free_port
+    def test_collect_retries_while_shard_marked_up(
+        self, tmp_path, monkeypatch
+    ):
+        # A transient poll failure must not abandon dispatched jobs: the
+        # collector keeps polling until the health loop flips the state,
+        # at which point replay owns the records.
+        from repro.serve import fleet
+        from repro.serve.fleet import free_port
 
+        polls = []
+        real_http_json = fleet._http_json
+
+        async def counting(host, port, method, path, **kwargs):
+            polls.append((method, path))
+            return await real_http_json(host, port, method, path, **kwargs)
+
+        monkeypatch.setattr(fleet, "_http_json", counting)
         sup = self._supervisor(tmp_path, shards=1, health_interval=0.05)
         shard = sup.shards[0]
-        shard.port = free_port()
-        (record,) = self._hand_built_chunk(sup, 1)
+        shard.port = free_port()  # nothing listening
+        record = self._admit_one(sup)
         record.status = "dispatched"
         record.remote_id = "remote-1"
 
         async def drive():
-            task = asyncio.ensure_future(sup._collect(shard, [record]))
-            await asyncio.sleep(0.4)
-            assert not task.done(), "gave up on a dispatched job"
-            shard.state = "down"
-            await asyncio.wait_for(task, timeout=5)
+            task = asyncio.ensure_future(sup._collect_loop(shard))
+            try:
+                await asyncio.sleep(0.4)
+                assert not task.done(), "gave up on a dispatched job"
+                assert (record.status, record.remote_id) == (
+                    "dispatched", "remote-1"
+                )
+                sup._on_shard_down(shard, "heartbeat deadline missed")
+            finally:
+                task.cancel()
+                await asyncio.gather(task, return_exceptions=True)
 
         asyncio.run(drive())
-        assert record.status == "dispatched"  # replay's job now
+        assert len(polls) >= 3
+        assert set(polls) == {("POST", "/jobs/poll")}
+        assert sup.jobs_failed == 0
+        # Replay took the record back: the dispatch loop sends it again.
+        assert (record.status, record.remote_id) == ("queued", None)
+        assert sup._owned(shard, "queued") == [record]
 
     def test_restarts_run_concurrently_per_shard(self, tmp_path):
         # A slow restart of one shard must not stop the health loop
@@ -316,43 +458,6 @@ class TestSupervisorFailover:
         shard.proc.wait(timeout=10)  # raises TimeoutExpired if leaked
         assert shard.proc.poll() is not None
 
-    @pytest.mark.parametrize("check", ["_probe", "_start_shard"])
-    def test_one_healthy_check_closes_an_open_breaker(
-        self, tmp_path, monkeypatch, check
-    ):
-        # The breaker does not hold a shard off for its cooldown or wait
-        # for a half-open request: the first successful /healthz, from
-        # the health loop or from a (re)start, closes it on the spot.
-        from repro.serve import fleet
-
-        class LiveProcess:
-            pid = 4242
-
-            def poll(self):
-                return None
-
-        async def healthy(host, port, method, path, **kwargs):
-            assert (method, path) == ("GET", "/healthz")
-            return 200, {"status": "ok"}
-
-        monkeypatch.setattr(fleet, "_http_json", healthy)
-        sup = self._supervisor(tmp_path, shards=1)
-        shard = sup.shards[0]
-        shard.breaker = fleet.CircuitBreaker(
-            threshold=3, cooldown=1.0, clock=lambda: 0.0
-        )
-        shard.proc = LiveProcess()
-        sup._spawn = lambda target: None
-        sup._wakeups = {0: asyncio.Event()}
-        for _ in range(3):
-            shard.breaker.record_failure()
-        assert shard.breaker.state == "open"
-        assert shard.breaker.cooldown == 1.0
-        assert not shard.breaker.allows()  # the clock never moves
-        asyncio.run(getattr(sup, check)(shard))
-        assert shard.breaker.state == "closed"
-        assert shard.breaker.allows()
-
 
 class TestDrain:
     """Drain ends every supervisor loop without relying on cancellation."""
@@ -365,21 +470,6 @@ class TestDrain:
         # the probe loses the first cancel it sees; drain must still
         # return and stop the shard.
         from repro.serve import fleet
-
-        class LiveProcess:
-            pid = 4242
-            returncode = None
-
-            def poll(self):
-                return self.returncode
-
-            def terminate(self):
-                self.returncode = -signal.SIGTERM
-
-            kill = terminate
-
-            def wait(self, timeout=None):
-                return self.returncode
 
         probing = asyncio.Event()
         cancels = []
@@ -419,6 +509,181 @@ class TestDrain:
         assert shard.state == "down"
         assert shard.proc.returncode == -signal.SIGTERM
         assert sup._tasks == []
+
+
+class TestForwardPath:
+    """The per-shard dispatch loop and collector, against FakeShards."""
+
+    def test_one_post_per_trace_id(self, fake_fleet):
+        sup, shards = fake_fleet()
+
+        async def scenario():
+            await sup.start()
+            hold(sup)  # the dispatch loop sees both submissions at once
+            first = await sup.submit(fleet_specs(3), trace_id="trace-a")
+            second = await sup.submit(fleet_specs(2, 3), trace_id="trace-b")
+            release(sup)
+            await until(lambda: all_done(first + second))
+            await sup.drain()
+
+        asyncio.run(scenario())
+        posts = shards.requests("POST", "/jobs")
+        assert [
+            (len(r.doc["jobs"]), r.headers["X-Trace-Id"]) for r in posts
+        ] == [(3, "trace-a"), (2, "trace-b")]
+
+    def test_one_poll_covers_every_dispatched_job(self, fake_fleet):
+        # The shard forgets the second job: the router sends it again.
+        sup, shards = fake_fleet()
+        shards.forget.add("remote-1")
+
+        async def scenario():
+            await sup.start()
+            hold(sup)
+            records = await sup.submit(fleet_specs(3), trace_id="trace-a")
+            release(sup)
+            await until(lambda: all_done(records))
+            await sup.drain()
+            return records
+
+        records = asyncio.run(scenario())
+        first_poll = shards.requests("POST", "/jobs/poll")[0]
+        assert first_poll.doc["ids"] == ["remote-0", "remote-1", "remote-2"]
+        posts = [r.doc["jobs"] for r in shards.requests("POST", "/jobs")]
+        assert posts == [
+            [r.spec.to_dict() for r in records], [records[1].spec.to_dict()],
+        ]
+        assert [r.attempts for r in records] == [1, 2, 1]
+        assert [r.digest for r in records] == [
+            "remote-0", "remote-3", "remote-2",
+        ]
+
+    def test_head_of_line_job_does_not_hold_back_the_next(self, fake_fleet):
+        # A job submitted while the shard still runs an earlier one is
+        # sent and collected without waiting for that job to finish.
+        sup, shards = fake_fleet()
+        shards.held.add("remote-0")  # the shard never finishes job one
+
+        async def scenario():
+            await sup.start()
+            (slow,) = await sup.submit(fleet_specs(1), trace_id="trace-a")
+            await until(lambda: slow.status == "dispatched")
+            (fast,) = await sup.submit(fleet_specs(1, 1), trace_id="trace-b")
+            await until(lambda: fast.status == "done", timeout=2.0)
+            assert slow.status == "dispatched"
+            shards.held.clear()
+            await sup.drain()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("path", ["/jobs", "/jobs/poll"])
+    def test_job_finishes_when_its_shard_goes_down_mid_request(
+        self, fake_fleet, path
+    ):
+        # The health loop declares shard A down while A is answering the
+        # job's POST /jobs (with a 202) or POST /jobs/poll (with done).
+        # The job has failed over to B by then, so A's answer must not
+        # touch it: B sends and collects it.
+        sup, shards = fake_fleet(shards=2, restart_backoff_base=0.01)
+        down = []
+
+        def shard_goes_down(request):
+            if request.path == path and not down:
+                (victim,) = [s for s in sup.shards if s.port == request.port]
+                down.append(victim.index)
+                sup._on_shard_down(victim, "heartbeat deadline missed")
+
+        shards.on_request = shard_goes_down
+
+        async def scenario():
+            await sup.start()
+            (record,) = await sup.submit(fleet_specs(1), trace_id="trace-a")
+            await until(lambda: record.status == "done", timeout=5.0)
+            await sup.drain()
+            return record
+
+        record = asyncio.run(scenario())
+        assert record.shard == 1 - down[0]
+        assert record.failovers == 1
+        assert record.digest == "remote-1"  # B's answer, not A's
+        assert [r.port for r in shards.requests("POST", "/jobs")] == [
+            9000 + down[0], 9000 + record.shard,
+        ]
+        assert all(s.journal.live_count == 0 for s in sup.shards)
+
+    def test_unreachable_shard_costs_one_request_per_health_interval(
+        self, fake_fleet
+    ):
+        # The shard is marked up but refuses every POST: both loops back
+        # off for one health interval (0.05 s) per attempt, and no job
+        # fails — declaring the shard down is the health loop's call.
+        sup, shards = fake_fleet()
+        shards.refuse = True
+
+        async def scenario():
+            await sup.start()
+            hold(sup)
+            queued, dispatched = await sup.submit(fleet_specs(2))
+            dispatched.status = "dispatched"
+            dispatched.remote_id = "remote-0"
+            release(sup)
+            await until(
+                lambda: len(shards.requests("POST", "/jobs")) >= 3
+                and len(shards.requests("POST", "/jobs/poll")) >= 3
+            )
+            assert (queued.status, dispatched.status) == (
+                "queued", "dispatched"
+            )
+            shards.refuse = False
+            await sup.drain()
+
+        asyncio.run(scenario())
+        assert sup.jobs_failed == 0
+        for path in ("/jobs", "/jobs/poll"):
+            times = [r.at for r in shards.requests("POST", path)][:3]
+            gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+            assert min(gaps) >= 0.045, (path, gaps)
+
+    @pytest.mark.parametrize(
+        "status, outcome, posts", [(429, "done", 2), (503, "done", 2),
+                                   (400, "failed", 1)],
+    )
+    def test_refused_post_is_retried_only_when_retryable(
+        self, fake_fleet, status, outcome, posts
+    ):
+        # 429 and 503 wait retry_after and send the job again; any other
+        # refusal fails the job.
+        sup, shards = fake_fleet(retry_after=0.01)
+        shards.refusals.append(status)
+
+        async def scenario():
+            await sup.start()
+            (record,) = await sup.submit(fleet_specs(1), trace_id="trace-a")
+            await until(lambda: record.status in ("done", "failed"))
+            await sup.drain()
+            return record
+
+        record = asyncio.run(scenario())
+        assert record.status == outcome
+        assert len(shards.requests("POST", "/jobs")) == posts
+        if outcome == "failed":
+            assert record.error == "shard 0 refused job (400): refused"
+
+    def test_window_never_provokes_a_429(self, fake_fleet):
+        sup, shards = fake_fleet(shard_queue_limit=4)
+        shards.queue_limit = 4
+
+        async def scenario():
+            await sup.start()
+            records = await sup.submit(fleet_specs(6), trace_id="trace-a")
+            await until(lambda: all_done(records))
+            await sup.drain()
+
+        asyncio.run(scenario())
+        posts = shards.requests("POST", "/jobs")
+        assert shards.rejected == 0
+        assert sum(len(r.doc["jobs"]) for r in posts) == 6
+        assert max(len(r.doc["jobs"]) for r in posts) <= 4
 
 
 class TestFleetPrometheus:
@@ -697,7 +962,7 @@ class TestAtomicFleetAdmission:
         rejected = [r for r in results if isinstance(r, QueueFullError)]
         admitted = [r for r in results if isinstance(r, list)]
         assert len(rejected) == 1 and len(admitted) == 1, results
-        assert sup._pending_count() == 3
+        assert sup.healthz()["pending"] == 3
         assert sup.jobs_submitted == 3
         assert sup.jobs_rejected == 3
 
@@ -742,7 +1007,7 @@ class TestFleetMonotonicDurations:
         clock.offset = 3600.0  # NTP steps +1h while the job is queued
         sup._finish(record, result={"final_cycle": 1})
         assert record.status == "done"
-        assert sup._pending_count() == 0
+        assert sup.healthz()["pending"] == 0
         retires = [
             json.loads(line)
             for line in oplog_path.read_text().splitlines()
