@@ -199,10 +199,7 @@ def measure(out_dir):
         cache_dir=cache_dir,
         cache_budget_bytes=budget,
         batch_window=0.02,
-        health_interval=0.1,
-        heartbeat_timeout=0.5,
         heartbeat_deadline=1.5,
-        restart_backoff_base=0.2,
         oplog=OpLogger(path=oplog_path, component="fleet"),
     )
     fleet.start()

@@ -1214,7 +1214,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "with the default --jobs 1)")
     p.add_argument("--heartbeat-deadline", type=float, default=3.0,
                    help="seconds without a healthy /healthz answer "
-                        "before a shard is declared down and restarted")
+                        "before a shard is declared down and restarted; "
+                        "the only supervision timing: shards are probed "
+                        "every deadline/12 with a deadline/3 timeout, "
+                        "and a restart waits 0.25 s, doubling per "
+                        "consecutive crash up to 5 s (reset after 10 s "
+                        "healthy)")
     p.add_argument("--metrics-out", default=None,
                    help="write a final fleet /metrics snapshot here on "
                         "drain (atomic tmp-file + rename)")

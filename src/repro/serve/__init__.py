@@ -16,22 +16,24 @@ exponential backoff while the survivors absorb the failover.
 
 Public surface:
 
-* :class:`BatchingService` — queue + batcher over one runner,
-* :class:`JobSpec` / :class:`JobRecord` — submissions and their lifecycle,
+* :class:`BatchingService` — queue + batcher over one runner, fed
+  :class:`JobSpec` submissions,
 * :class:`ShardSupervisor` — the supervised shard fleet (``cohort fleet``),
-* :class:`JsonHttpApp` / :func:`run_server` — the one asyncio HTTP
-  front-end and lifecycle, serving either backend (a
-  :class:`BatchingService` for ``cohort serve``, a
-  :class:`ShardSupervisor` for ``cohort fleet``),
+* :func:`run_server` — the one asyncio HTTP front-end and lifecycle,
+  serving either backend (a :class:`BatchingService` for ``cohort
+  serve``, a :class:`ShardSupervisor` for ``cohort fleet``),
 * :class:`ServerThread` / :class:`FleetThread` — the same lifecycle
   in-process, for tests, benchmarks and the chaos and capacity soaks,
 * :class:`ServeClient` — synchronous stdlib client (``cohort submit``),
-  with bounded retries for both backpressure and transient connections,
-* :class:`LoadGenerator` / :func:`arrival_schedule` /
-  :func:`theta_population` — open-loop Poisson load generation for the
-  capacity soak (``benchmarks/capacity_soak.py``),
-* :class:`WriteAheadJournal` / :class:`HashRing` — the fleet's
-  durability and routing pieces.
+  with bounded retries for both backpressure and transient connections;
+  it raises :class:`ServeClientError`, and :class:`BackpressureError`
+  once 429 retries run out,
+* :class:`LoadGenerator` / :func:`theta_population` — open-loop Poisson
+  load generation for the capacity soak
+  (``benchmarks/capacity_soak.py``).
+
+Everything else (the journal, the hash ring, the error types of the
+service) is imported from its submodule.
 
 Operationally, every submission carries a trace id end to end
 (``X-Trace-Id``), the whole stack logs structured JSON-lines events
@@ -45,49 +47,21 @@ from repro.serve.client import (
     ServeClient,
     ServeClientError,
 )
-from repro.serve.loadgen import (
-    LoadGenerator,
-    LoadgenReport,
-    arrival_schedule,
-    theta_population,
-)
-from repro.serve.fleet import (
-    FleetThread,
-    HashRing,
-    ShardSupervisor,
-    WriteAheadJournal,
-)
-from repro.serve.server import JsonHttpApp, ServerThread, run_server
-from repro.serve.service import (
-    BatchingService,
-    DrainingError,
-    JobRecord,
-    JobSpec,
-    JobSpecError,
-    QueueFullError,
-    ServeError,
-)
+from repro.serve.fleet import FleetThread, ShardSupervisor
+from repro.serve.loadgen import LoadGenerator, theta_population
+from repro.serve.server import ServerThread, run_server
+from repro.serve.service import BatchingService, JobSpec
 
 __all__ = [
     "BackpressureError",
     "BatchingService",
-    "DrainingError",
     "FleetThread",
-    "HashRing",
-    "JobRecord",
     "JobSpec",
-    "JobSpecError",
-    "JsonHttpApp",
     "LoadGenerator",
-    "LoadgenReport",
-    "QueueFullError",
     "ServeClient",
     "ServeClientError",
-    "ServeError",
     "ServerThread",
     "ShardSupervisor",
-    "WriteAheadJournal",
-    "arrival_schedule",
     "run_server",
     "theta_population",
 ]

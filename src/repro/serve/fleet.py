@@ -20,10 +20,12 @@ hardened on-disk result cache — and puts a supervising router in front:
   from its journal, and a crashed supervisor replays every journal on
   cold start.
 * **Supervision** — each shard is health-checked over ``/healthz``
-  with a heartbeat deadline.  A crashed (``SIGKILL``), hung
-  (``SIGSTOP``), or flapping shard is declared down, new traffic fails
-  over to live shards via the ring, its unfinished jobs are replayed,
-  and the supervisor restarts it with capped exponential backoff.
+  with a heartbeat deadline, the one timing an operator sets: probes
+  run every deadline/12 and time out after deadline/3.  A crashed
+  (``SIGKILL``), hung (``SIGSTOP``), or flapping shard is declared
+  down, new traffic fails over to live shards via the ring, its
+  unfinished jobs are replayed, and the supervisor restarts it with
+  capped exponential backoff.
 * **Forwarding** — each shard has one dispatch loop and one collector.
   The dispatch loop posts the shard's queued jobs as one ``POST /jobs``
   per trace id and never leaves more than the shard's queue limit
@@ -72,6 +74,32 @@ __all__ = [
     "ShardSupervisor",
     "WriteAheadJournal",
 ]
+
+
+#: Restart backoff: the first restart waits this long, and each
+#: consecutive one doubles it, up to :data:`RESTART_BACKOFF_MAX`.
+RESTART_BACKOFF_BASE = 0.25
+RESTART_BACKOFF_MAX = 5.0
+#: Seconds of health after a restart that reset the backoff ladder.
+STABILITY_WINDOW = 10.0
+#: Seconds a spawned shard has to answer its first ``/healthz``.
+SPAWN_TIMEOUT = 60.0
+#: Socket timeout of one dispatch or collection request to a shard.
+REQUEST_TIMEOUT = 30.0
+
+
+class _MonotonicClock:
+    """Every time read and sleep of the supervisor's schedule.
+
+    Tests swap the module's ``_clock`` for a manual clock, as they swap
+    ``_http_json`` for in-memory shards.
+    """
+
+    now = staticmethod(time.monotonic)
+    sleep = staticmethod(asyncio.sleep)
+
+
+_clock = _MonotonicClock()
 
 
 def free_port(host: str = "127.0.0.1") -> int:
@@ -445,7 +473,9 @@ class ShardState:
     #: reading of ``0.0``, so never test this by truthiness.
     last_healthy: Optional[float] = None
     up_since: float = 0.0
-    down_since: float = 0.0
+    #: Monotonic time the shard was declared down; ``None`` while it is
+    #: not down, never tested by truthiness for the same reason.
+    down_since: Optional[float] = None
     routed: int = 0
     completed: int = 0
     journal: Optional[WriteAheadJournal] = None
@@ -475,7 +505,8 @@ class ShardSupervisor:
     """
 
     #: Names this backend in the ``cohort <command>:`` lines that
-    #: :func:`repro.serve.server.run_server` prints, and the oplog event
+    #: :func:`repro.serve.server.run_server` prints and in the ``label``
+    #: of its ``/metrics`` documents; ``exit_event`` is the oplog event
     #: it logs once the router's front-end has closed.
     command = "fleet"
     exit_event = "fleet_exit"
@@ -495,21 +526,15 @@ class ShardSupervisor:
         cache_budget_bytes: int = 0,
         admission_limit: int = 256,
         retry_after: float = 0.5,
-        health_interval: float = 0.25,
-        heartbeat_timeout: float = 1.0,
         heartbeat_deadline: float = 3.0,
-        restart_backoff_base: float = 0.25,
-        restart_backoff_max: float = 5.0,
-        stability_window: float = 10.0,
-        spawn_timeout: float = 60.0,
-        request_timeout: float = 30.0,
-        label: str = "fleet",
         oplog: Optional[OpLogger] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if admission_limit < 1:
             raise ValueError("admission_limit must be >= 1")
+        if heartbeat_deadline <= 0:
+            raise ValueError("heartbeat_deadline must be > 0")
         self.host = host
         self.fleet_dir = fleet_dir
         self.cache_dir = (
@@ -525,15 +550,11 @@ class ShardSupervisor:
         self.cache_budget_bytes = cache_budget_bytes
         self.admission_limit = admission_limit
         self.retry_after = retry_after
-        self.health_interval = health_interval
-        self.heartbeat_timeout = heartbeat_timeout
         self.heartbeat_deadline = heartbeat_deadline
-        self.restart_backoff_base = restart_backoff_base
-        self.restart_backoff_max = restart_backoff_max
-        self.stability_window = stability_window
-        self.spawn_timeout = spawn_timeout
-        self.request_timeout = request_timeout
-        self.label = label
+        # Twelve probes per deadline, each allowed a third of it: a
+        # shard is declared down only after several missed probes.
+        self.health_interval = heartbeat_deadline / 12
+        self.heartbeat_timeout = heartbeat_deadline / 3
         self.oplog = oplog if oplog is not None else OpLogger(
             component="fleet"
         )
@@ -554,7 +575,7 @@ class ShardSupervisor:
         self._tasks: List[asyncio.Task] = []
         self._draining = False
         self._started_at = time.time()
-        self._started_mono = time.monotonic()
+        self._started_mono = _clock.now()
         # Admission accounting.  ``_unfinished`` holds the jobs in
         # "queued"/"dispatched" status, in admission order (the
         # forwarding loops find their shard's work there);
@@ -632,7 +653,7 @@ class ShardSupervisor:
                     shard=shard.index,
                     trace_id=doc.get("trace_id"),
                     submitted_at=doc.get("submitted_at", time.time()),
-                    submitted_mono=time.monotonic(),
+                    submitted_mono=_clock.now(),
                 )
                 self._jobs[record.id] = record
                 self._unfinished[record.id] = record
@@ -648,7 +669,7 @@ class ShardSupervisor:
         self.oplog.emit("fleet_drain", pending=len(self._unfinished))
         self._wake_all()
         while self._unfinished:
-            await asyncio.sleep(0.02)
+            await _clock.sleep(0.02)
         # Every loop ends by itself once drained; wait, never cancel: on
         # Python 3.11 the asyncio.wait_for in _http_json can lose a
         # cancel that lands as its request completes.
@@ -739,14 +760,14 @@ class ShardSupervisor:
         """Spawn one shard and wait until it answers health checks."""
         shard.state = "starting"
         self._spawn(shard)
-        deadline = time.monotonic() + self.spawn_timeout
-        while time.monotonic() < deadline:
+        deadline = _clock.now() + SPAWN_TIMEOUT
+        while _clock.now() < deadline:
             if self._drained():
                 return  # drain stops the half-booted child
             if not shard.proc_alive():
                 # The child died before listening (port race, crash on
                 # boot): respawn on a fresh port and keep waiting.
-                await asyncio.sleep(0.2)
+                await _clock.sleep(0.2)
                 if not shard.proc_alive():
                     self.oplog.emit(
                         "shard_boot_failed", shard=shard.index,
@@ -761,17 +782,17 @@ class ShardSupervisor:
                     timeout=self.heartbeat_timeout,
                 )
             except ShardUnreachableError:
-                await asyncio.sleep(0.1)
+                await _clock.sleep(0.1)
                 continue
             if status == 200 and isinstance(doc, dict):
-                now = time.monotonic()
+                now = _clock.now()
                 shard.state = "up"
                 shard.last_healthy = now
                 shard.up_since = now
-                if shard.down_since:
+                if shard.down_since is not None:
                     recovered = now - shard.down_since
                     self.recovery_seconds.append(recovered)
-                    shard.down_since = 0.0
+                    shard.down_since = None
                     self.oplog.emit(
                         "shard_up", shard=shard.index, port=shard.port,
                         pid=shard.pid, recovery_s=round(recovered, 3),
@@ -783,7 +804,7 @@ class ShardSupervisor:
                     )
                 self._wakeups[shard.index].set()
                 return
-            await asyncio.sleep(0.1)
+            await _clock.sleep(0.1)
         if shard.proc is not None and shard.proc.poll() is None:
             # A half-booted child must not outlive the attempt, or the
             # next respawn would leak a second process on the machine.
@@ -793,7 +814,7 @@ class ShardSupervisor:
                 pass
         raise RuntimeError(
             f"shard {shard.index} did not become healthy within "
-            f"{self.spawn_timeout}s (see {shard.log_path})"
+            f"{SPAWN_TIMEOUT}s (see {shard.log_path})"
         )
 
     def _on_shard_down(self, shard: ShardState, reason: str) -> None:
@@ -801,7 +822,7 @@ class ShardSupervisor:
         if shard.state == "down" or shard.state == "backoff":
             return
         shard.state = "down"
-        shard.down_since = time.monotonic()
+        shard.down_since = _clock.now()
         self.oplog.emit(
             "shard_down", shard=shard.index, reason=reason, pid=shard.pid,
             restarts=shard.restarts,
@@ -856,14 +877,14 @@ class ShardSupervisor:
         shard.state = "backoff"
         shard.consecutive_restarts += 1
         backoff = min(
-            self.restart_backoff_base * (2 ** (shard.consecutive_restarts - 1)),
-            self.restart_backoff_max,
+            RESTART_BACKOFF_BASE * 2 ** (shard.consecutive_restarts - 1),
+            RESTART_BACKOFF_MAX,
         )
         self.oplog.emit(
             "shard_restart", shard=shard.index,
             attempt=shard.consecutive_restarts, backoff_s=round(backoff, 3),
         )
-        await asyncio.sleep(backoff)
+        await _clock.sleep(backoff)
         if self._drained():
             return
         shard.restarts += 1
@@ -888,7 +909,7 @@ class ShardSupervisor:
                     shard.restart_task = loop.create_task(
                         self._restart_guarded(shard)
                     )
-            await asyncio.sleep(self.health_interval)
+            await _clock.sleep(self.health_interval)
 
     async def _restart_guarded(self, shard: ShardState) -> None:
         try:
@@ -898,7 +919,6 @@ class ShardSupervisor:
             shard.state = "down"
 
     async def _probe(self, shard: ShardState) -> None:
-        now = time.monotonic()
         if not shard.proc_alive():
             self._on_shard_down(shard, "process exited")
             return
@@ -910,12 +930,12 @@ class ShardSupervisor:
             healthy = status == 200
         except ShardUnreachableError:
             healthy = False
-        now = time.monotonic()
+        now = _clock.now()
         if healthy:
             shard.last_healthy = now
             if (
                 shard.consecutive_restarts
-                and now - shard.up_since >= self.stability_window
+                and now - shard.up_since >= STABILITY_WINDOW
             ):
                 # Stable long enough: a future crash starts the backoff
                 # ladder from the bottom again (flap detection window).
@@ -994,7 +1014,7 @@ class ShardSupervisor:
                     shard=shard_id,
                     trace_id=trace_id,
                     submitted_at=now,
-                    submitted_mono=time.monotonic(),
+                    submitted_mono=_clock.now(),
                 )
                 shard = self.shards[shard_id]
                 assert shard.journal is not None
@@ -1058,11 +1078,11 @@ class ShardSupervisor:
                     shard, [r for r in batch if r.trace_id == trace_id]
                 )
                 continue
+            # Every change that can make work dispatchable here sets
+            # the event: submit, _land, _on_shard_down, the shard coming
+            # up, and drain.
             wakeup.clear()
-            try:
-                await asyncio.wait_for(wakeup.wait(), 0.2)
-            except asyncio.TimeoutError:
-                pass
+            await wakeup.wait()
 
     async def _post(self, shard: ShardState, records: List[FleetJob]) -> None:
         """One ``POST /jobs`` of same-trace ``records``; backs off on refusal."""
@@ -1071,16 +1091,16 @@ class ShardSupervisor:
             status, doc = await _http_json(
                 self.host, shard.port, "POST", "/jobs",
                 doc={"jobs": [r.spec.to_dict() for r in records]},
-                timeout=self.request_timeout,
+                timeout=REQUEST_TIMEOUT,
                 headers={"X-Trace-Id": trace_id} if trace_id else None,
             )
         except ShardUnreachableError:
             # The health loop decides whether the shard is down; until
             # then the records stay queued here.
-            await asyncio.sleep(self.health_interval)
+            await _clock.sleep(self.health_interval)
             return
         if status in (429, 503):
-            await asyncio.sleep(self.retry_after)
+            await _clock.sleep(self.retry_after)
             return
         accepted = doc.get("jobs") if isinstance(doc, dict) else None
         ok = status == 202 and isinstance(accepted, list) and (
@@ -1116,17 +1136,17 @@ class ShardSupervisor:
                     status, doc = await _http_json(
                         self.host, shard.port, "POST", "/jobs/poll",
                         doc={"ids": list(waiting)},
-                        timeout=self.request_timeout,
+                        timeout=REQUEST_TIMEOUT,
                     )
                 except ShardUnreachableError:
                     # Transient while the shard is still marked up: if it
                     # really died, the health loop declares it down and
                     # replay takes these records over.
-                    await asyncio.sleep(self.health_interval)
+                    await _clock.sleep(self.health_interval)
                     continue
                 if status == 200 and isinstance(doc, dict):
                     self._land(shard, waiting, doc)
-            await asyncio.sleep(0.05)
+            await _clock.sleep(0.05)
 
     def _land(
         self, shard: ShardState, waiting: Dict[Optional[str], FleetJob],
@@ -1167,7 +1187,7 @@ class ShardSupervisor:
     ) -> None:
         self._unfinished.pop(record.id, None)
         record.finished_at = time.time()
-        record.finished_mono = time.monotonic()
+        record.finished_mono = _clock.now()
         if error is None:
             record.status = "done"
             record.result = result
@@ -1202,7 +1222,7 @@ class ShardSupervisor:
         journal_live = 0
         journal_torn = 0
         shards_doc = []
-        now = time.monotonic()
+        now = _clock.now()
         for shard in self.shards:
             assert shard.journal is not None
             counters = shard.journal.counters()
@@ -1232,8 +1252,8 @@ class ShardSupervisor:
         recoveries = len(self.recovery_seconds)
         return {
             "schema": FLEET_METRICS_SCHEMA,
-            "label": self.label,
-            "uptime_seconds": time.monotonic() - self._started_mono,
+            "label": self.command,
+            "uptime_seconds": now - self._started_mono,
             "fleet": {
                 "shards_total": len(self.shards),
                 "shards_up": self.shards_up,

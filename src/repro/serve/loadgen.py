@@ -37,7 +37,7 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.obs.metrics import LatencyHistogram
 from repro.params import MSI_THETA
@@ -61,6 +61,13 @@ THETA_GRID: Tuple[int, ...] = (5, 17, 60, 200, 1000, MSI_THETA)
 
 #: Default population seed (matches the lock-step benchmarks').
 DEFAULT_POPULATION_SEED = 42
+
+#: Socket timeout of one submission or poll request.
+REQUEST_TIMEOUT = 10.0
+#: Seconds between completion-poll passes (and drain checks).
+POLL_INTERVAL = 0.05
+#: Job ids per ``POST /jobs/poll`` request.
+POLL_BATCH = 64
 
 
 def arrival_schedule(
@@ -224,11 +231,7 @@ class LoadGenerator:
         population: Sequence[JobSpec],
         seed: int = 0,
         workers: int = 16,
-        request_timeout: float = 10.0,
-        poll_interval: float = 0.05,
-        poll_batch: int = 64,
         drain_timeout: float = 60.0,
-        trace_id: Optional[str] = None,
     ) -> None:
         if not population:
             raise ValueError("population must not be empty")
@@ -241,11 +244,7 @@ class LoadGenerator:
         self.population = list(population)
         self.seed = seed
         self.workers = workers
-        self.request_timeout = request_timeout
-        self.poll_interval = poll_interval
-        self.poll_batch = poll_batch
         self.drain_timeout = drain_timeout
-        self.trace_id = trace_id
         # job_id -> arrival time (monotonic) for e2e accounting.
         self._inflight: Dict[str, float] = {}
         self._report = LoadgenReport(rate=rate)
@@ -289,7 +288,7 @@ class LoadGenerator:
             )
             drain_deadline = time.monotonic() + self.drain_timeout
             while self._inflight and time.monotonic() < drain_deadline:
-                await asyncio.sleep(self.poll_interval)
+                await asyncio.sleep(POLL_INTERVAL)
         finally:
             for task in worker_tasks:
                 task.cancel()
@@ -305,9 +304,6 @@ class LoadGenerator:
 
     async def _worker(self, arrivals: asyncio.Queue) -> None:
         report = self._report
-        headers = (
-            {"X-Trace-Id": self.trace_id} if self.trace_id else None
-        )
         while True:
             scheduled_mono, spec = await arrivals.get()
             try:
@@ -319,8 +315,7 @@ class LoadGenerator:
                     status, doc = await _http_json(
                         self.host, self.port, "POST", "/jobs",
                         doc=spec.to_dict(),
-                        timeout=self.request_timeout,
-                        headers=headers,
+                        timeout=REQUEST_TIMEOUT,
                     )
                 except (ShardUnreachableError, asyncio.TimeoutError):
                     report.errors += 1
@@ -346,15 +341,15 @@ class LoadGenerator:
         """Chase completions with batched ``/jobs/poll`` requests."""
         report = self._report
         while True:
-            await asyncio.sleep(self.poll_interval)
+            await asyncio.sleep(POLL_INTERVAL)
             pending = list(self._inflight)
-            for start in range(0, len(pending), self.poll_batch):
-                chunk = pending[start:start + self.poll_batch]
+            for start in range(0, len(pending), POLL_BATCH):
+                chunk = pending[start:start + POLL_BATCH]
                 try:
                     status, doc = await _http_json(
                         self.host, self.port, "POST", "/jobs/poll",
                         doc={"ids": chunk, "include_result": False},
-                        timeout=self.request_timeout,
+                        timeout=REQUEST_TIMEOUT,
                     )
                 except (ShardUnreachableError, asyncio.TimeoutError):
                     break

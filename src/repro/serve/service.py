@@ -226,8 +226,10 @@ class BatchingService:
     """
 
     #: Names this backend in the ``cohort <command>:`` lines that
-    #: :func:`repro.serve.server.run_server` prints, and the oplog event
-    #: it logs once the front-end has closed.
+    #: :func:`repro.serve.server.run_server` prints, in the ``label`` of
+    #: its ``/metrics`` documents and in its service trace;
+    #: ``exit_event`` is the oplog event it logs once the front-end has
+    #: closed.
     command = "serve"
     exit_event = "server_exit"
 
@@ -239,7 +241,6 @@ class BatchingService:
         batch_window: float = 0.05,
         queue_limit: int = 64,
         retry_after: float = 0.5,
-        label: str = "serve",
         oplog: Optional[OpLogger] = None,
     ) -> None:
         if max_batch < 1:
@@ -255,7 +256,6 @@ class BatchingService:
         self.batch_window = batch_window
         self.queue_limit = queue_limit
         self.retry_after = retry_after
-        self.label = label
         self._queue: List[JobRecord] = []
         self._jobs: Dict[str, JobRecord] = {}
         self._wakeup = asyncio.Event()
@@ -486,7 +486,7 @@ class BatchingService:
 
     def service_trace(self) -> Dict[str, Any]:
         """Chrome trace-event doc of all retired requests' lifecycles."""
-        return build_service_trace(self.trace_rows, name=self.label)
+        return build_service_trace(self.trace_rows, name=self.command)
 
     def _run_batch(
         self, batch: List[JobRecord]
@@ -515,7 +515,7 @@ class BatchingService:
         """A ``/metrics`` snapshot (``repro.obs`` serve_metrics shape)."""
         return {
             "schema": SERVE_METRICS_SCHEMA,
-            "label": self.label,
+            "label": self.command,
             "uptime_seconds": time.monotonic() - self._started_mono,
             "service": {
                 "queue_depth": len(self._queue),
@@ -569,7 +569,7 @@ class BatchingService:
         svc = snapshot["service"]
         runner = snapshot["runner"]
         return build_manifest(
-            "serve", snapshot.get("label") or "serve",
+            "serve", self.command,
             metrics={
                 "jobs_submitted": svc["jobs_submitted"],
                 "jobs_rejected": svc["jobs_rejected"],

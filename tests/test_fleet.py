@@ -1,48 +1,129 @@
 """Tests for the shard fleet (repro.serve.fleet).
 
 Unit tests cover the routing ring, the fleet's Prometheus exposition
-and the router's dispatch loop and collector without any processes:
-the shards are an in-memory stand-in behind a stubbed ``_http_json``.
-Integration tests run a real :class:`FleetThread` — actual ``cohort
-serve`` subprocesses under a supervising router — and exercise the
-failure paths the fleet exists for: a SIGKILLed shard mid-flight must
-lose nothing, and a restarting endpoint must be survivable by a
-retrying client.
+and the supervisor itself without processes or real time: the shards
+are an in-memory stand-in behind a stubbed ``_http_json``, a spawned
+shard is a stand-in process object, and the supervisor's clock is a
+:class:`ManualClock` that advances virtual time.  They drive failover,
+the dispatch loop and collector, drain, health probes, restart backoff
+and flap detection.  Integration tests run a real :class:`FleetThread`
+— actual ``cohort serve`` subprocesses under a supervising router —
+where a SIGKILLed shard mid-flight must lose nothing, and a client on
+real sockets must survive a restarting endpoint.
 """
 
 import asyncio
 import collections
+import heapq
+import io
+import itertools
 import json
 import os
 import signal
 import socket
-import subprocess
-import sys
 import threading
 import time
 
 import pytest
 
-from repro.obs import FLEET_METRICS_SCHEMA
+from repro.obs import FLEET_METRICS_SCHEMA, OpLogger
 from repro.obs.promexport import (
     parse_prometheus_text,
     prometheus_from_fleet_metrics,
 )
 from repro.serve import (
     FleetThread,
-    HashRing,
+    JobSpec,
     ServeClient,
     ServeClientError,
     ServerThread,
+)
+from repro.serve.fleet import (
+    RESTART_BACKOFF_BASE,
+    SPAWN_TIMEOUT,
+    STABILITY_WINDOW,
+    HashRing,
+    QueueFullError,
+    ShardSupervisor,
+    ShardUnreachableError,
 )
 
 TINY = dict(benchmark="fft", thetas=[60, 20, 20, 20], scale=0.05, seed=0)
 
 
-def tiny_specs(count):
-    return [
-        dict(TINY, thetas=[60 + 10 * i, 20, 20, 20]) for i in range(count)
-    ]
+class ManualClock:
+    """Virtual monotonic time, swapped in for ``repro.serve.fleet._clock``.
+
+    ``sleep`` parks its caller until virtual time reaches the deadline.
+    :meth:`advance`, :meth:`until` and :meth:`run` move time forward one
+    deadline at a time and let the event loop settle after each, so the
+    supervisor's loops wake in deadline order and nothing waits on real
+    time.
+    """
+
+    #: Event-loop passes that let woken tasks run on to their next await.
+    SETTLE = 20
+
+    def __init__(self):
+        self.time = 0.0
+        self._sleepers = []  # heap of (deadline, seq, future)
+        self._seq = itertools.count()
+
+    def now(self):
+        return self.time
+
+    async def sleep(self, seconds):
+        future = asyncio.get_running_loop().create_future()
+        heapq.heappush(
+            self._sleepers, (self.time + seconds, next(self._seq), future)
+        )
+        await future
+
+    async def _settle(self):
+        for _ in range(self.SETTLE):
+            await asyncio.sleep(0)
+        # A cancelled sleeper's future is done: it never wakes.
+        while self._sleepers and self._sleepers[0][2].done():
+            heapq.heappop(self._sleepers)
+
+    def _wake_next(self, end):
+        """Jump to the earliest deadline up to ``end`` and wake it."""
+        if not self._sleepers or self._sleepers[0][0] > end:
+            return False
+        self.time = max(self.time, self._sleepers[0][0])
+        while self._sleepers and self._sleepers[0][0] <= self.time:
+            future = heapq.heappop(self._sleepers)[2]
+            if not future.done():
+                future.set_result(None)
+        return True
+
+    async def advance(self, seconds):
+        """Move ``seconds`` ahead, waking every sleeper on the way."""
+        end = self.time + seconds
+        await self._settle()
+        while self._wake_next(end):
+            await self._settle()
+        self.time = max(self.time, end)
+
+    async def until(self, predicate, limit=60.0):
+        """Advance deadline by deadline until ``predicate()`` holds."""
+        end = self.time + limit
+        idle = 0
+        await self._settle()
+        while not predicate():
+            if not self._wake_next(end):
+                # Nothing sleeps before the limit: only executor work
+                # (a journal fsync, a process wait) can still finish.
+                assert not self._sleepers, f"not met within {limit}s"
+                idle += 1
+                assert idle < 5000, "nothing left to wake"
+            await self._settle()
+
+    async def run(self, awaitable, limit=60.0):
+        """Advance until ``awaitable`` finishes; its result."""
+        task = asyncio.ensure_future(awaitable)
+        await self.until(task.done, limit)
+        return task.result()
 
 
 class LiveProcess:
@@ -57,7 +138,8 @@ class LiveProcess:
     def terminate(self):
         self.returncode = -signal.SIGTERM
 
-    kill = terminate
+    def kill(self):
+        self.returncode = -signal.SIGKILL
 
     def wait(self, timeout=None):
         return self.returncode
@@ -79,23 +161,24 @@ class FakeShards:
     """In-memory shards behind a stubbed ``repro.serve.fleet._http_json``.
 
     Models the shard HTTP API per port and logs every request as a
-    :data:`Request` stamped with monotonic time.  A job is
+    :data:`Request` stamped with the clock's virtual time.  A job is
     ``done`` on its first poll unless its remote id is in ``held``; an
     id in ``forget`` is dropped and answered as unknown.  ``refuse``
-    makes every POST fail as if the shard were unreachable;
+    holds HTTP methods answered as if the shard were unreachable;
     ``queue_limit`` answers 429 to a POST that would leave more than
     that many uncollected jobs on one shard; ``refusals`` holds statuses
     to answer the next ``POST /jobs`` requests with; ``on_request``
     runs while each request is in flight.
     """
 
-    def __init__(self):
+    def __init__(self, clock):
+        self.clock = clock
         self.log = []
         self.open = {}  # remote id -> port: accepted, not yet collected
         self.minted = 0
         self.held = set()
         self.forget = set()
-        self.refuse = False
+        self.refuse = set()
         self.queue_limit = None
         self.refusals = []
         self.rejected = 0
@@ -116,15 +199,13 @@ class FakeShards:
     async def __call__(
         self, host, port, method, path, doc=None, timeout=5.0, headers=None
     ):
-        from repro.serve.fleet import ShardUnreachableError
-
         request = Request(
-            port, method, path, doc, headers or {}, time.monotonic()
+            port, method, path, doc, headers or {}, self.clock.now()
         )
         self.log.append(request)
         if self.on_request is not None:
             self.on_request(request)
-        if method == "POST" and self.refuse:
+        if method in self.refuse:
             raise ShardUnreachableError("connection refused")
         if (method, path) in (("GET", "/healthz"), ("GET", "/metrics")):
             return 200, {"status": "ok"}
@@ -156,37 +237,43 @@ class FakeShards:
 
 
 @pytest.fixture
-def fake_fleet(tmp_path, monkeypatch):
-    """Build an unstarted supervisor whose shards are a FakeShards.
+def clock(monkeypatch):
+    """A :class:`ManualClock` installed as the fleet's clock."""
+    from repro.serve import fleet
 
-    Its ``_start_shard`` marks a shard up on a fake port without
-    spawning anything, and a 0.05 s health interval keeps ``drain``
-    short.  After the test, every request the router sent must be one
-    of :data:`ROUTER_REQUESTS`.
+    manual = ManualClock()
+    monkeypatch.setattr(fleet, "_clock", manual)
+    return manual
+
+
+@pytest.fixture
+def fake_fleet(tmp_path, monkeypatch, clock):
+    """Build an unstarted supervisor on the manual clock over FakeShards.
+
+    Spawning a shard gives it a :class:`LiveProcess` on port 9000 plus
+    its index; from the first health probe on, the supervisor runs its
+    own code.  After the test, every request the router sent must be
+    one of :data:`ROUTER_REQUESTS`.
     """
     from repro.serve import fleet
 
     made = []
 
     def make(shards=1, **kwargs):
-        fake = FakeShards()
+        fake = FakeShards(clock)
         monkeypatch.setattr(fleet, "_http_json", fake)
-        sup = fleet.ShardSupervisor(
+        sup = ShardSupervisor(
             shards=shards,
             fleet_dir=str(tmp_path / "fleet"),
             cache_dir=str(tmp_path / "cache"),
-            health_interval=0.05,
             **kwargs,
         )
 
-        async def start_shard(shard):
+        def spawn(shard):
             shard.proc = LiveProcess()
             shard.port = 9000 + shard.index
-            shard.state = "up"
-            shard.last_healthy = time.monotonic()
-            sup._wakeups[shard.index].set()
 
-        sup._start_shard = start_shard
+        sup._spawn = spawn
         made.append(fake)
         return sup, fake
 
@@ -195,18 +282,7 @@ def fake_fleet(tmp_path, monkeypatch):
         assert {(r.method, r.path) for r in fake.log} <= ROUTER_REQUESTS
 
 
-async def until(predicate, timeout=2.0):
-    """Yield to the event loop until ``predicate()`` holds."""
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout
-    while not predicate():
-        assert loop.time() < deadline, "condition not met in time"
-        await asyncio.sleep(0.005)
-
-
 def fleet_specs(count, base=0):
-    from repro.serve import JobSpec
-
     return [
         JobSpec.from_dict(dict(TINY, seed=base + i)) for i in range(count)
     ]
@@ -226,6 +302,18 @@ def release(sup):
     for shard in sup.shards:
         shard.state = "up"
     sup._wake_all()
+
+
+def oplog_events(stream, event):
+    """The ``event`` records an OpLogger wrote to ``stream``."""
+    records = [json.loads(line) for line in stream.getvalue().splitlines()]
+    return [r for r in records if r["event"] == event]
+
+
+async def cancel(*tasks):
+    for task in tasks:
+        task.cancel()
+    await asyncio.gather(*tasks, return_exceptions=True)
 
 
 class TestHashRing:
@@ -262,40 +350,29 @@ class TestHashRing:
 
 
 class TestSupervisorFailover:
-    """Supervisor bookkeeping on the fault paths, without processes.
+    """Supervisor bookkeeping on the fault paths, on the manual clock.
 
     These drive :meth:`ShardSupervisor._on_shard_down`, the forwarding
-    loops' error paths and the health loop directly against dead ports,
-    hand-built job records and fake processes — the cascading-failure
-    orderings here are deterministic where the chaos soak's are not.
+    loops' error paths and the health loop directly against FakeShards,
+    hand-built job records and stand-in processes — the
+    cascading-failure orderings here are deterministic where the chaos
+    soak's are not.
     """
 
-    def _supervisor(self, tmp_path, shards=2, **kwargs):
-        from repro.serve.fleet import ShardSupervisor
-
-        sup = ShardSupervisor(
-            shards=shards,
-            fleet_dir=str(tmp_path / "fleet"),
-            cache_dir=str(tmp_path / "cache"),
-            **kwargs,
-        )
-        for shard in sup.shards:
-            shard.state = "up"
-        return sup
+    def _supervisor(self, fake_fleet, shards=2):
+        sup, fake = fake_fleet(shards=shards)
+        release(sup)
+        return sup, fake
 
     def _admit_one(self, sup):
-        import asyncio
-
-        from repro.serve import JobSpec
-
-        (record,) = asyncio.run(sup.submit([JobSpec.from_dict(TINY)]))
+        (record,) = asyncio.run(sup.submit(fleet_specs(1)))
         return record
 
-    def test_failed_over_job_survives_second_shard_death(self, tmp_path):
+    def test_failed_over_job_survives_second_shard_death(self, fake_fleet):
         # Admit on A, fail over to B, then kill B: the admit record
         # lives in A's journal, so replay must also sweep in-memory
         # jobs owned by B — the 202 must never be lost.
-        sup = self._supervisor(tmp_path)
+        sup, _ = self._supervisor(fake_fleet)
         record = self._admit_one(sup)
         a = record.shard
         b = 1 - a
@@ -311,10 +388,12 @@ class TestSupervisorFailover:
         assert sup._owned(sup.shards[a], "queued") == [record]
         assert record.failovers == 2
 
-    def test_replay_skips_jobs_already_failed_over_elsewhere(self, tmp_path):
+    def test_replay_skips_jobs_already_failed_over_elsewhere(
+        self, fake_fleet
+    ):
         # A's journal still holds the admit for a job that failed over
         # to B and is mid-flight there; A dying again must not reset it.
-        sup = self._supervisor(tmp_path)
+        sup, _ = self._supervisor(fake_fleet)
         record = self._admit_one(sup)
         a = record.shard
         b = 1 - a
@@ -331,81 +410,65 @@ class TestSupervisorFailover:
         # Neither dispatch loop would send the job again.
         assert all(not sup._owned(shard, "queued") for shard in sup.shards)
 
-    def test_unreachable_shard_requeues_whole_chunk(self, tmp_path):
+    def test_unreachable_shard_requeues_whole_chunk(self, fake_fleet, clock):
         # A POST that cannot reach the shard must leave every job it
         # carried queued on that shard, in order, for the dispatch loop
-        # to send again — not just the first, and none failed.
-        from repro.serve import JobSpec
-        from repro.serve.fleet import free_port
-
-        sup = self._supervisor(tmp_path, shards=1, health_interval=0.01)
+        # to send again one health interval later — not just the
+        # first, and none failed.
+        sup, shards = self._supervisor(fake_fleet, shards=1)
+        shards.refuse = {"POST"}
         shard = sup.shards[0]
-        shard.port = free_port()  # nothing listening
-        chunk = asyncio.run(sup.submit([
-            JobSpec.from_dict(dict(TINY, seed=i)) for i in range(3)
-        ]))
-        asyncio.run(sup._post(shard, chunk))
+        chunk = asyncio.run(sup.submit(fleet_specs(3)))
+        asyncio.run(clock.run(sup._post(shard, chunk)))
         assert all(
             (r.status, r.remote_id, r.attempts) == ("queued", None, 0)
             for r in chunk
         )
         assert sup._owned(shard, "queued") == chunk
         assert sup.jobs_failed == 0
+        assert clock.now() == sup.health_interval
 
-    def test_collect_retries_while_shard_marked_up(
-        self, tmp_path, monkeypatch
-    ):
+    def test_collect_retries_while_shard_marked_up(self, fake_fleet, clock):
         # A transient poll failure must not abandon dispatched jobs: the
-        # collector keeps polling until the health loop flips the state,
-        # at which point replay owns the records.
-        from repro.serve import fleet
-        from repro.serve.fleet import free_port
-
-        polls = []
-        real_http_json = fleet._http_json
-
-        async def counting(host, port, method, path, **kwargs):
-            polls.append((method, path))
-            return await real_http_json(host, port, method, path, **kwargs)
-
-        monkeypatch.setattr(fleet, "_http_json", counting)
-        sup = self._supervisor(tmp_path, shards=1, health_interval=0.05)
+        # collector polls once per health interval until the health
+        # loop flips the state, at which point replay owns the records.
+        sup, shards = self._supervisor(fake_fleet, shards=1)
+        shards.refuse = {"POST"}
         shard = sup.shards[0]
-        shard.port = free_port()  # nothing listening
         record = self._admit_one(sup)
         record.status = "dispatched"
         record.remote_id = "remote-1"
 
         async def drive():
             task = asyncio.ensure_future(sup._collect_loop(shard))
-            try:
-                await asyncio.sleep(0.4)
-                assert not task.done(), "gave up on a dispatched job"
-                assert (record.status, record.remote_id) == (
-                    "dispatched", "remote-1"
-                )
-                sup._on_shard_down(shard, "heartbeat deadline missed")
-            finally:
-                task.cancel()
-                await asyncio.gather(task, return_exceptions=True)
+            await clock.advance(4 * sup.health_interval)
+            assert not task.done(), "gave up on a dispatched job"
+            assert (record.status, record.remote_id) == (
+                "dispatched", "remote-1"
+            )
+            sup._on_shard_down(shard, "heartbeat deadline missed")
+            await cancel(task)
 
         asyncio.run(drive())
-        assert len(polls) >= 3
-        assert set(polls) == {("POST", "/jobs/poll")}
+        polls = shards.requests("POST", "/jobs/poll")
+        assert shards.log == polls
+        assert [r.at for r in polls] == [
+            k * sup.health_interval for k in range(5)
+        ]
         assert sup.jobs_failed == 0
         # Replay took the record back: the dispatch loop sends it again.
         assert (record.status, record.remote_id) == ("queued", None)
         assert sup._owned(shard, "queued") == [record]
 
-    def test_restarts_run_concurrently_per_shard(self, tmp_path):
+    def test_restarts_run_concurrently_per_shard(self, fake_fleet, clock):
         # A slow restart of one shard must not stop the health loop
-        # noticing (and restarting) another.
-        sup = self._supervisor(tmp_path, shards=2, health_interval=0.02)
+        # noticing (and restarting) another: both start in one pass.
+        sup, _ = fake_fleet(shards=2)
         started = []
 
         async def slow_restart(shard):
             started.append(shard.index)
-            await asyncio.sleep(30)
+            await clock.sleep(30)
 
         sup._restart_shard = slow_restart
         for shard in sup.shards:
@@ -413,57 +476,121 @@ class TestSupervisorFailover:
 
         async def drive():
             task = asyncio.ensure_future(sup._health_loop())
-            try:
-                deadline = asyncio.get_running_loop().time() + 2
-                while (
-                    len(started) < 2
-                    and asyncio.get_running_loop().time() < deadline
-                ):
-                    await asyncio.sleep(0.02)
-            finally:
-                task.cancel()
-                for shard in sup.shards:
-                    if shard.restart_task is not None:
-                        shard.restart_task.cancel()
-                await asyncio.gather(
-                    task,
-                    *(
-                        s.restart_task
-                        for s in sup.shards
-                        if s.restart_task is not None
-                    ),
-                    return_exceptions=True,
-                )
+            await clock.until(lambda: len(started) == 2)
+            await cancel(task, *(s.restart_task for s in sup.shards))
 
         asyncio.run(drive())
         assert sorted(started) == [0, 1]
+        assert clock.now() == 0.0
 
-    def test_spawn_timeout_kills_half_booted_child(self, tmp_path):
-        # A child that boots too slowly must be killed when the spawn
-        # window closes, not left running while a sibling is respawned.
-        from repro.serve.fleet import free_port
+    def test_spawn_timeout_kills_half_booted_child(self, fake_fleet, clock):
+        # A child that never answers its first probe must be killed when
+        # the spawn window closes, not left running while a sibling is
+        # respawned.
+        sup, shards = fake_fleet()
+        shards.refuse = {"GET"}
+        shard = sup.shards[0]
+        with pytest.raises(RuntimeError, match="did not become healthy"):
+            asyncio.run(
+                clock.run(sup._start_shard(shard), limit=2 * SPAWN_TIMEOUT)
+            )
+        assert shard.proc.returncode == -signal.SIGKILL
+        assert SPAWN_TIMEOUT <= clock.now() < SPAWN_TIMEOUT + 0.2
 
-        sup = self._supervisor(tmp_path, shards=1, spawn_timeout=0.5)
+
+class TestRestartBackoff:
+    """Restart backoff and flap detection, on the manual clock."""
+
+    def test_backoff_doubles_per_consecutive_crash_up_to_the_cap(
+        self, fake_fleet, clock
+    ):
+        log = io.StringIO()
+        sup, _ = fake_fleet(oplog=OpLogger(stream=log, component="fleet"))
+        shard = sup.shards[0]
+        ladder = [0.25, 0.5, 1.0, 2.0, 4.0, 5.0, 5.0]
+
+        async def scenario():
+            await sup.start()
+            for crash in range(1, len(ladder) + 1):
+                shard.proc.kill()
+                await clock.until(
+                    lambda: shard.restarts == crash and shard.state == "up"
+                )
+            await clock.run(sup.drain())
+
+        asyncio.run(scenario())
+        restarts = oplog_events(log, "shard_restart")
+        assert [(e["attempt"], e["backoff_s"]) for e in restarts] == list(
+            enumerate(ladder, start=1)
+        )
+        # Each crash is seen by one health pass, the restart starts at
+        # the next and waits its backoff on the clock.
+        assert sup.recovery_seconds == pytest.approx(
+            [sup.health_interval + backoff for backoff in ladder]
+        )
+        assert shard.consecutive_restarts == len(ladder)
+
+    def test_flap_counter_resets_only_after_the_stability_window(
+        self, fake_fleet, clock
+    ):
+        log = io.StringIO()
+        sup, _ = fake_fleet(oplog=OpLogger(stream=log, component="fleet"))
         shard = sup.shards[0]
 
-        def fake_spawn(target):
-            target.port = free_port()
-            target.proc = subprocess.Popen(
-                [sys.executable, "-c", "import time; time.sleep(60)"]
+        async def scenario():
+            await sup.start()
+            shard.proc.kill()
+            await clock.until(
+                lambda: shard.restarts == 1 and shard.state == "up"
             )
+            up_since = clock.now()
+            await clock.advance(STABILITY_WINDOW - sup.health_interval)
+            assert shard.consecutive_restarts == 1
+            await clock.until(lambda: shard.consecutive_restarts == 0)
+            assert clock.now() - up_since == pytest.approx(STABILITY_WINDOW)
+            # The next crash starts the ladder from the bottom again.
+            shard.proc.kill()
+            await clock.until(
+                lambda: shard.restarts == 2 and shard.state == "up"
+            )
+            await clock.run(sup.drain())
 
-        sup._spawn = fake_spawn
-        with pytest.raises(RuntimeError):
-            asyncio.run(sup._start_shard(shard))
-        shard.proc.wait(timeout=10)  # raises TimeoutExpired if leaked
-        assert shard.proc.poll() is not None
+        asyncio.run(scenario())
+        assert [e["backoff_s"] for e in oplog_events(log, "shard_restart")] \
+            == [RESTART_BACKOFF_BASE, RESTART_BACKOFF_BASE]
+
+    def test_recovery_is_recorded_for_a_shard_down_at_clock_zero(
+        self, fake_fleet, clock
+    ):
+        # 0.0 is a legitimate monotonic reading (the manual clock starts
+        # there): a shard declared down then must still report its
+        # recovery, which feeds the chaos gate's bounded-recovery check.
+        sup, _ = fake_fleet()
+        shard = sup.shards[0]
+
+        async def scenario():
+            await sup.start()
+            shard.proc.kill()
+            await clock.until(lambda: shard.state == "down")
+            assert clock.now() == 0.0
+            await clock.until(
+                lambda: shard.restarts == 1 and shard.state == "up"
+            )
+            await clock.run(sup.drain())
+
+        asyncio.run(scenario())
+        fleet_doc = sup.metrics()["fleet"]
+        assert fleet_doc["recoveries"] == 1
+        assert fleet_doc["recovery_seconds_max"] == (
+            sup.health_interval + RESTART_BACKOFF_BASE
+        )
 
 
 class TestDrain:
     """Drain ends every supervisor loop without relying on cancellation."""
 
     def test_drain_returns_when_a_probe_loses_a_cancel(
-        self, tmp_path, monkeypatch
+        self, fake_fleet, clock, monkeypatch
     ):
         # On Python 3.11, the asyncio.wait_for inside _http_json can
         # lose a cancel that lands just as the probe completes.  Here
@@ -471,38 +598,28 @@ class TestDrain:
         # return and stop the shard.
         from repro.serve import fleet
 
-        probing = asyncio.Event()
+        sup, _ = fake_fleet()
+        probes = []
         cancels = []
 
         async def lossy_probe(host, port, method, path, **kwargs):
             assert (method, path) == ("GET", "/healthz")
-            probing.set()
+            probes.append(clock.now())
             try:
-                await asyncio.sleep(0.05)
+                await clock.sleep(0.05)
             except asyncio.CancelledError:
                 cancels.append(True)
                 if len(cancels) > 1:
                     raise
             return 200, {"status": "ok"}
 
-        async def start_shard(shard):
-            shard.proc = LiveProcess()
-            shard.state = "up"
-            shard.last_healthy = time.monotonic()
-
         monkeypatch.setattr(fleet, "_http_json", lossy_probe)
-        sup = fleet.ShardSupervisor(
-            shards=1,
-            fleet_dir=str(tmp_path / "fleet"),
-            cache_dir=str(tmp_path / "cache"),
-            health_interval=0.01,
-        )
-        sup._start_shard = start_shard
 
         async def drive():
-            await sup.start()
-            await probing.wait()  # a probe is in flight
-            await asyncio.wait_for(sup.drain(), timeout=3)
+            await clock.run(sup.start())
+            # The boot probe, then a health-loop probe in flight.
+            await clock.until(lambda: len(probes) == 2)
+            await clock.run(sup.drain(), limit=3)
 
         asyncio.run(drive())
         shard = sup.shards[0]
@@ -514,7 +631,7 @@ class TestDrain:
 class TestForwardPath:
     """The per-shard dispatch loop and collector, against FakeShards."""
 
-    def test_one_post_per_trace_id(self, fake_fleet):
+    def test_one_post_per_trace_id(self, fake_fleet, clock):
         sup, shards = fake_fleet()
 
         async def scenario():
@@ -523,8 +640,8 @@ class TestForwardPath:
             first = await sup.submit(fleet_specs(3), trace_id="trace-a")
             second = await sup.submit(fleet_specs(2, 3), trace_id="trace-b")
             release(sup)
-            await until(lambda: all_done(first + second))
-            await sup.drain()
+            await clock.until(lambda: all_done(first + second))
+            await clock.run(sup.drain())
 
         asyncio.run(scenario())
         posts = shards.requests("POST", "/jobs")
@@ -532,7 +649,7 @@ class TestForwardPath:
             (len(r.doc["jobs"]), r.headers["X-Trace-Id"]) for r in posts
         ] == [(3, "trace-a"), (2, "trace-b")]
 
-    def test_one_poll_covers_every_dispatched_job(self, fake_fleet):
+    def test_one_poll_covers_every_dispatched_job(self, fake_fleet, clock):
         # The shard forgets the second job: the router sends it again.
         sup, shards = fake_fleet()
         shards.forget.add("remote-1")
@@ -542,8 +659,8 @@ class TestForwardPath:
             hold(sup)
             records = await sup.submit(fleet_specs(3), trace_id="trace-a")
             release(sup)
-            await until(lambda: all_done(records))
-            await sup.drain()
+            await clock.until(lambda: all_done(records))
+            await clock.run(sup.drain())
             return records
 
         records = asyncio.run(scenario())
@@ -558,7 +675,9 @@ class TestForwardPath:
             "remote-0", "remote-3", "remote-2",
         ]
 
-    def test_head_of_line_job_does_not_hold_back_the_next(self, fake_fleet):
+    def test_head_of_line_job_does_not_hold_back_the_next(
+        self, fake_fleet, clock
+    ):
         # A job submitted while the shard still runs an earlier one is
         # sent and collected without waiting for that job to finish.
         sup, shards = fake_fleet()
@@ -567,24 +686,24 @@ class TestForwardPath:
         async def scenario():
             await sup.start()
             (slow,) = await sup.submit(fleet_specs(1), trace_id="trace-a")
-            await until(lambda: slow.status == "dispatched")
+            await clock.until(lambda: slow.status == "dispatched")
             (fast,) = await sup.submit(fleet_specs(1, 1), trace_id="trace-b")
-            await until(lambda: fast.status == "done", timeout=2.0)
+            await clock.until(lambda: fast.status == "done", limit=2.0)
             assert slow.status == "dispatched"
             shards.held.clear()
-            await sup.drain()
+            await clock.run(sup.drain())
 
         asyncio.run(scenario())
 
     @pytest.mark.parametrize("path", ["/jobs", "/jobs/poll"])
     def test_job_finishes_when_its_shard_goes_down_mid_request(
-        self, fake_fleet, path
+        self, fake_fleet, clock, path
     ):
         # The health loop declares shard A down while A is answering the
         # job's POST /jobs (with a 202) or POST /jobs/poll (with done).
         # The job has failed over to B by then, so A's answer must not
         # touch it: B sends and collects it.
-        sup, shards = fake_fleet(shards=2, restart_backoff_base=0.01)
+        sup, shards = fake_fleet(shards=2)
         down = []
 
         def shard_goes_down(request):
@@ -598,8 +717,8 @@ class TestForwardPath:
         async def scenario():
             await sup.start()
             (record,) = await sup.submit(fleet_specs(1), trace_id="trace-a")
-            await until(lambda: record.status == "done", timeout=5.0)
-            await sup.drain()
+            await clock.until(lambda: record.status == "done")
+            await clock.run(sup.drain())
             return record
 
         record = asyncio.run(scenario())
@@ -611,14 +730,36 @@ class TestForwardPath:
         ]
         assert all(s.journal.live_count == 0 for s in sup.shards)
 
+    def test_job_waiting_for_its_shard_is_sent_when_the_shard_is_up(
+        self, fake_fleet, clock
+    ):
+        # With every shard down, a new job waits on its ring owner; the
+        # shard coming back up wakes the dispatch loop, which sends the
+        # job at once.
+        sup, shards = fake_fleet()
+        shard = sup.shards[0]
+
+        async def scenario():
+            await sup.start()
+            shard.proc.kill()
+            await clock.until(lambda: shard.state == "down")
+            (record,) = await sup.submit(fleet_specs(1), trace_id="trace-a")
+            await clock.until(lambda: record.status == "done")
+            await clock.run(sup.drain())
+
+        asyncio.run(scenario())
+        (post,) = shards.requests("POST", "/jobs")
+        assert shard.restarts == 1
+        assert post.at == sup.health_interval + RESTART_BACKOFF_BASE
+
     def test_unreachable_shard_costs_one_request_per_health_interval(
-        self, fake_fleet
+        self, fake_fleet, clock
     ):
         # The shard is marked up but refuses every POST: both loops back
-        # off for one health interval (0.05 s) per attempt, and no job
-        # fails — declaring the shard down is the health loop's call.
+        # off exactly one health interval per attempt, and no job fails
+        # — declaring the shard down is the health loop's call.
         sup, shards = fake_fleet()
-        shards.refuse = True
+        shards.refuse = {"POST"}
 
         async def scenario():
             await sup.start()
@@ -627,57 +768,60 @@ class TestForwardPath:
             dispatched.status = "dispatched"
             dispatched.remote_id = "remote-0"
             release(sup)
-            await until(
+            await clock.until(
                 lambda: len(shards.requests("POST", "/jobs")) >= 3
                 and len(shards.requests("POST", "/jobs/poll")) >= 3
             )
             assert (queued.status, dispatched.status) == (
                 "queued", "dispatched"
             )
-            shards.refuse = False
-            await sup.drain()
+            shards.refuse = set()
+            await clock.run(sup.drain())
 
         asyncio.run(scenario())
         assert sup.jobs_failed == 0
         for path in ("/jobs", "/jobs/poll"):
             times = [r.at for r in shards.requests("POST", path)][:3]
             gaps = [later - earlier for earlier, later in zip(times, times[1:])]
-            assert min(gaps) >= 0.045, (path, gaps)
+            assert gaps == pytest.approx([sup.health_interval] * 2), path
 
     @pytest.mark.parametrize(
         "status, outcome, posts", [(429, "done", 2), (503, "done", 2),
                                    (400, "failed", 1)],
     )
     def test_refused_post_is_retried_only_when_retryable(
-        self, fake_fleet, status, outcome, posts
+        self, fake_fleet, clock, status, outcome, posts
     ):
         # 429 and 503 wait retry_after and send the job again; any other
         # refusal fails the job.
-        sup, shards = fake_fleet(retry_after=0.01)
+        sup, shards = fake_fleet()
         shards.refusals.append(status)
 
         async def scenario():
             await sup.start()
             (record,) = await sup.submit(fleet_specs(1), trace_id="trace-a")
-            await until(lambda: record.status in ("done", "failed"))
-            await sup.drain()
+            await clock.until(lambda: record.status in ("done", "failed"))
+            await clock.run(sup.drain())
             return record
 
         record = asyncio.run(scenario())
         assert record.status == outcome
-        assert len(shards.requests("POST", "/jobs")) == posts
+        sent = shards.requests("POST", "/jobs")
+        assert len(sent) == posts
         if outcome == "failed":
             assert record.error == "shard 0 refused job (400): refused"
+        else:
+            assert sent[1].at - sent[0].at == sup.retry_after
 
-    def test_window_never_provokes_a_429(self, fake_fleet):
+    def test_window_never_provokes_a_429(self, fake_fleet, clock):
         sup, shards = fake_fleet(shard_queue_limit=4)
         shards.queue_limit = 4
 
         async def scenario():
             await sup.start()
             records = await sup.submit(fleet_specs(6), trace_id="trace-a")
-            await until(lambda: all_done(records))
-            await sup.drain()
+            await clock.until(lambda: all_done(records))
+            await clock.run(sup.drain())
 
         asyncio.run(scenario())
         posts = shards.requests("POST", "/jobs")
@@ -726,18 +870,20 @@ class TestFleetPrometheus:
         assert 'cohort_fleet_shard_up{service="fleet",shard="1"} 0' in text
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="class")
 def fleet(tmp_path_factory):
+    """A real 2-shard fleet for one test class.
+
+    Class scope stops it before any later test swaps the module's
+    ``_clock`` or ``_http_json``, which its loops also read.
+    """
     root = tmp_path_factory.mktemp("fleet")
     thread = FleetThread(
         shards=2,
         fleet_dir=str(root / "state"),
         cache_dir=str(root / "cache"),
         batch_window=0.02,
-        health_interval=0.1,
-        heartbeat_timeout=0.5,
         heartbeat_deadline=1.5,
-        restart_backoff_base=0.2,
     )
     thread.start()
     yield thread
@@ -753,7 +899,6 @@ class TestFleetIntegration:
 
     def test_round_trip_matches_direct_runner(self, fleet, tmp_path):
         from repro.runner import SweepRunner
-        from repro.serve import JobSpec
 
         client = ServeClient(fleet.base_url, connect_retries=3)
         records = client.submit_and_wait([TINY], timeout=300)
@@ -784,16 +929,29 @@ class TestFleetIntegration:
         )
 
     def test_sigkilled_shard_loses_no_accepted_jobs(self, fleet):
+        # SIGKILL a shard holding journaled work: every accepted job
+        # still finishes, the dead shard's journal entries are replayed,
+        # every journal drains, and the shard comes back.  Seed 1 keeps
+        # every spec out of the cache the other tests warmed.
         client = ServeClient(fleet.base_url, connect_retries=5)
-        accepted = client.submit(tiny_specs(6))
+        supervisor = fleet.supervisor
+        before = client.metrics()["fleet"]
+        accepted = client.submit([
+            dict(TINY, thetas=[60 + 10 * i, 20, 20, 20], seed=1)
+            for i in range(6)
+        ])
         ids = [doc["id"] for doc in accepted]
-        victim = fleet.supervisor.shards[0]
+        # The journals hold every accepted job until it retires.
+        assert sum(
+            shard.journal.live_count for shard in supervisor.shards
+        ) == len(ids)
+        victim = supervisor.shards[0]
+        victim_live = victim.journal.live_jobs()
         os.kill(victim.pid, signal.SIGKILL)
         records = client.wait(ids, timeout=300)
         assert all(
             records[job_id]["status"] == "done" for job_id in ids
         )
-        # The supervisor must bring the dead shard back.
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             doc = client.metrics()
@@ -803,8 +961,12 @@ class TestFleetIntegration:
         else:
             pytest.fail("killed shard was not restarted")
         fleet_doc = doc["fleet"]
-        assert fleet_doc["restarts_total"] >= 1
-        assert fleet_doc["recoveries"] >= 1
+        assert fleet_doc["journal_live"] == 0
+        assert fleet_doc["replayed_jobs"] - before["replayed_jobs"] >= len(
+            victim_live
+        )
+        assert fleet_doc["restarts_total"] > before["restarts_total"]
+        assert fleet_doc["recoveries"] > before["recoveries"]
         assert fleet_doc["recovery_seconds_max"] > 0
 
 
@@ -826,11 +988,10 @@ class TestClientConnectRetry:
             f"http://127.0.0.1:{port}", timeout=2.0,
             connect_retries=2, connect_backoff=0.01,
         )
-        started = time.monotonic()
         with pytest.raises(ServeClientError, match="3 attempt"):
             client.healthz()
-        # Two backoff sleeps must actually have happened.
-        assert time.monotonic() - started >= 0.01
+        # One backoff sleep before each of the two retries.
+        assert client.oplog.event_counts["client_reconnect"] == 2
 
     def test_rejects_negative_retry_budget(self):
         with pytest.raises(ValueError):
@@ -839,10 +1000,19 @@ class TestClientConnectRetry:
     def test_survives_server_arriving_late(self):
         """ECONNREFUSED during a shard restart window is retried."""
         port = self._free_port()
+        refused = threading.Event()
+
+        class RefusalWatch(OpLogger):
+            def emit(self, event, **fields):
+                if event == "client_reconnect":
+                    refused.set()
+                return super().emit(event, **fields)
+
         server_box = []
 
         def bring_up():
-            time.sleep(0.4)
+            # The server arrives only after the client was refused.
+            refused.wait(timeout=30)
             thread = ServerThread(port=port, batch_window=0.01)
             thread.start()
             server_box.append(thread)
@@ -852,6 +1022,7 @@ class TestClientConnectRetry:
         try:
             client = ServeClient(
                 f"http://127.0.0.1:{port}", timeout=30.0,
+                oplog=RefusalWatch(component="client"),
                 connect_retries=10, connect_backoff=0.1,
             )
             doc = client.healthz()
@@ -859,61 +1030,50 @@ class TestClientConnectRetry:
             reconnects = client.oplog.event_counts.get("client_reconnect", 0)
             assert reconnects >= 1
         finally:
+            refused.set()
             starter.join()
             for thread in server_box:
                 thread.stop()
 
 
 class TestLastHealthyAge:
-    def _supervisor(self, tmp_path):
-        from repro.serve.fleet import ShardSupervisor
-
-        return ShardSupervisor(
-            shards=1,
-            fleet_dir=str(tmp_path / "fleet"),
-            cache_dir=str(tmp_path / "cache"),
-        )
-
-    def test_zero_monotonic_reading_is_a_real_age(self, tmp_path):
+    def test_zero_monotonic_reading_is_a_real_age(self, fake_fleet, clock):
         # last_healthy == 0.0 is a legitimate monotonic timestamp (the
         # clock's epoch is arbitrary); only None means "never healthy".
         # The old truthiness test conflated the two and reported a
         # healthy shard as ageless.
-        sup = self._supervisor(tmp_path)
+        sup, _ = fake_fleet()
         shard = sup.shards[0]
         shard.state = "up"
         shard.last_healthy = 0.0
-        age = sup.metrics()["shards"][0]["last_healthy_age_s"]
-        assert age is not None
-        assert age > 0
+        asyncio.run(clock.advance(1.5))
+        assert sup.metrics()["shards"][0]["last_healthy_age_s"] == 1.5
 
-    def test_never_healthy_reports_none(self, tmp_path):
-        sup = self._supervisor(tmp_path)
+    def test_never_healthy_reports_none(self, fake_fleet):
+        sup, _ = fake_fleet()
         assert sup.shards[0].last_healthy is None
         assert sup.metrics()["shards"][0]["last_healthy_age_s"] is None
 
-    def test_never_healthy_shard_misses_heartbeat_deadline(self, tmp_path):
+    def test_never_healthy_shard_misses_heartbeat_deadline(
+        self, fake_fleet, clock
+    ):
         # A shard that never answered a single probe must be declared
         # down once probing starts failing — last_healthy=None cannot
-        # be treated as "healthy at monotonic zero" (which, early after
-        # boot, would sit inside the deadline window forever).
-        sup = self._supervisor(tmp_path)
+        # be treated as "healthy at monotonic zero", which at the
+        # clock's 0.0 would sit inside the deadline window.
+        sup, shards = fake_fleet()
+        shards.refuse = {"GET"}
         shard = sup.shards[0]
+        sup._spawn(shard)
         shard.state = "up"
-        down = []
-        sup._on_shard_down = lambda s, reason: down.append(reason)
-        shard.proc_alive = lambda: True
-
-        async def scenario():
-            await sup._probe(shard)
-
-        asyncio.run(scenario())
-        assert down, "never-healthy shard survived a failed probe"
+        asyncio.run(sup._probe(shard))
+        assert clock.now() == 0.0
+        assert shard.state == "down", "never-healthy shard survived"
 
 
 class TestAtomicFleetAdmission:
     def test_concurrent_oversize_submissions_cannot_both_pass(
-        self, tmp_path, monkeypatch
+        self, tmp_path
     ):
         # submit() journals each job with an fsync on an executor
         # thread, so it yields between the admission check and the
@@ -921,13 +1081,6 @@ class TestAtomicFleetAdmission:
         # concurrent 3-job submissions against admission_limit=4 both
         # read pending=0, both pass, and 6 jobs are admitted.  The
         # reservation makes exactly one lose.
-        from repro.serve import JobSpec
-        from repro.serve.fleet import (
-            QueueFullError,
-            ShardSupervisor,
-            WriteAheadJournal,
-        )
-
         sup = ShardSupervisor(
             shards=2,
             fleet_dir=str(tmp_path / "fleet"),
@@ -937,24 +1090,10 @@ class TestAtomicFleetAdmission:
         for shard in sup.shards:
             shard.state = "up"
 
-        real_admit = WriteAheadJournal.admit
-
-        def slow_admit(self, job, shard):
-            time.sleep(0.05)  # a slow disk widens the race window
-            return real_admit(self, job, shard)
-
-        monkeypatch.setattr(WriteAheadJournal, "admit", slow_admit)
-
-        def burst(base):
-            return [
-                JobSpec.from_dict(dict(TINY, seed=base + i))
-                for i in range(3)
-            ]
-
         async def scenario():
             return await asyncio.gather(
-                sup.submit(burst(0)),
-                sup.submit(burst(100)),
+                sup.submit(fleet_specs(3)),
+                sup.submit(fleet_specs(3, 100)),
                 return_exceptions=True,
             )
 
@@ -969,15 +1108,13 @@ class TestAtomicFleetAdmission:
 
 class TestFleetMonotonicDurations:
     def test_wall_clock_step_cannot_corrupt_retire_duration(
-        self, tmp_path, monkeypatch
+        self, fake_fleet, clock, tmp_path, monkeypatch
     ):
         # Same NTP-step scenario as the serve-layer test, at the fleet
         # layer: duration_ms in the retire oplog event must come from
         # the monotonic clock.  Pre-fix it was wall-clock and clamped
         # with max(0, ...) — a forward step inflated it by the step.
         import repro.serve.fleet as fleet_mod
-        from repro.obs import OpLogger
-        from repro.serve import JobSpec
 
         class SteppedTime:
             def __init__(self):
@@ -987,24 +1124,19 @@ class TestFleetMonotonicDurations:
             def time(self):
                 return self._real.time() + self.offset
 
-            def monotonic(self):
-                return self._real.monotonic()
-
             def __getattr__(self, name):
                 return getattr(self._real, name)
 
-        clock = SteppedTime()
-        monkeypatch.setattr(fleet_mod, "time", clock)
+        wall = SteppedTime()
+        monkeypatch.setattr(fleet_mod, "time", wall)
         oplog_path = tmp_path / "fleet.oplog.jsonl"
-        sup = fleet_mod.ShardSupervisor(
-            shards=1,
-            fleet_dir=str(tmp_path / "fleet"),
-            cache_dir=str(tmp_path / "cache"),
+        sup, _ = fake_fleet(
             oplog=OpLogger(path=str(oplog_path), component="fleet"),
         )
         sup.shards[0].state = "up"
-        (record,) = asyncio.run(sup.submit([JobSpec.from_dict(TINY)]))
-        clock.offset = 3600.0  # NTP steps +1h while the job is queued
+        (record,) = asyncio.run(sup.submit(fleet_specs(1)))
+        asyncio.run(clock.advance(2.5))
+        wall.offset = 3600.0  # NTP steps +1h while the job is queued
         sup._finish(record, result={"final_cycle": 1})
         assert record.status == "done"
         assert sup.healthz()["pending"] == 0
@@ -1013,7 +1145,6 @@ class TestFleetMonotonicDurations:
             for line in oplog_path.read_text().splitlines()
             if '"retire"' in line
         ]
-        assert retires
-        assert all(0 <= e["duration_ms"] < 60_000 for e in retires)
+        assert [e["duration_ms"] for e in retires] == [2500.0]
         # The journal/display stamp keeps wall time.
         assert record.finished_at - record.submitted_at >= 3600

@@ -17,7 +17,8 @@ import sys
 import time
 
 from repro.obs.schema import INTAKE_JOURNAL_SCHEMA, validate_document
-from repro.serve import FleetThread, ServeClient, WriteAheadJournal
+from repro.serve import FleetThread, ServeClient
+from repro.serve.fleet import WriteAheadJournal
 
 TINY = dict(benchmark="fft", thetas=[60, 20, 20, 20], scale=0.05, seed=0)
 
@@ -173,10 +174,7 @@ class TestJournalReplayIntegration:
             fleet_dir=str(tmp_path / "state"),
             cache_dir=str(tmp_path / "cache"),
             batch_window=0.02,
-            health_interval=0.1,
-            heartbeat_timeout=0.5,
             heartbeat_deadline=1.5,
-            restart_backoff_base=0.2,
         )
         fleet.start()
         try:

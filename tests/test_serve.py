@@ -26,12 +26,11 @@ from repro.serve import (
     BatchingService,
     FleetThread,
     JobSpec,
-    JobSpecError,
-    QueueFullError,
     ServeClient,
     ServerThread,
 )
 from repro.serve import server as server_module
+from repro.serve.service import JobSpecError, QueueFullError
 
 TINY = dict(benchmark="fft", thetas=[60, 20, 20, 20], scale=0.05, seed=0)
 
@@ -216,7 +215,7 @@ class TestBatchingService:
             records = service.submit([tiny_spec()])
             await service.drain()
             assert records[0].status == "done"
-            from repro.serve import DrainingError
+            from repro.serve.service import DrainingError
 
             with pytest.raises(DrainingError):
                 service.submit([tiny_spec(seed=9)])
