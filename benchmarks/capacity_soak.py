@@ -133,7 +133,6 @@ def measure(out_dir):
         shards=SHARDS,
         fleet_dir=fleet_dir,
         cache_dir=os.path.join(fleet_dir, "cache"),
-        batch_window=0.02,
         admission_limit=512,
         shard_queue_limit=128,
         oplog=OpLogger(path=oplog_path, component="fleet"),

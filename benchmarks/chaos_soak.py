@@ -198,7 +198,6 @@ def measure(out_dir):
         fleet_dir=fleet_dir,
         cache_dir=cache_dir,
         cache_budget_bytes=budget,
-        batch_window=0.02,
         heartbeat_deadline=1.5,
         oplog=OpLogger(path=oplog_path, component="fleet"),
     )

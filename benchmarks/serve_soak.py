@@ -160,7 +160,7 @@ def measure(out_dir):
     trace_path = os.path.join(out_dir, TRACE)
     proc, base_url = start_server([
         "--jobs", "2",
-        "--max-batch", "8", "--batch-window", "0.05",
+        "--max-batch", "8",
         "--queue-limit", "32",
         "--cache-dir", os.path.join(out_dir, "cache"),
         "--metrics-out", final_metrics,

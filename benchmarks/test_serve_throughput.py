@@ -47,7 +47,7 @@ def test_serve_throughput(benchmark, tmp_path):
 
     def drive():
         with ServerThread(
-            runner=runner, max_batch=16, batch_window=0.05, queue_limit=128
+            runner=runner, max_batch=16, queue_limit=128
         ) as server:
             url = server.base_url
             results = [None] * N_CLIENTS
@@ -126,7 +126,7 @@ def test_serve_backpressure(benchmark):
 
     def drive():
         with ServerThread(
-            runner=runner, max_batch=1, batch_window=0.0, queue_limit=2
+            runner=runner, max_batch=1, queue_limit=2
         ) as server:
             client = ServeClient(server.base_url, timeout=60.0)
             rejections = 0
@@ -143,7 +143,7 @@ def test_serve_backpressure(benchmark):
                     rejections += 1
                     assert exc.retry_after > 0
                     accepted.extend(
-                        client.submit([spec], max_retries=100, backoff=0.05)
+                        client.submit([spec], max_retries=100)
                     )
             records = client.wait(
                 [doc["id"] for doc in accepted], timeout=600

@@ -801,9 +801,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = BatchingService(
         runner,
         max_batch=args.max_batch,
-        batch_window=args.batch_window,
         queue_limit=args.queue_limit,
-        retry_after=args.retry_after,
         oplog=OpLogger(path=args.oplog) if args.oplog else None,
     )
     asyncio.run(
@@ -836,12 +834,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         shard_jobs=args.jobs,
         max_batch=args.max_batch,
-        batch_window=args.batch_window,
         shard_queue_limit=args.queue_limit,
         job_timeout=args.job_timeout,
         cache_budget_bytes=args.cache_budget,
         admission_limit=args.admission_limit,
-        retry_after=args.retry_after,
         heartbeat_deadline=args.heartbeat_deadline,
         oplog=OpLogger(path=args.oplog, component="fleet")
         if args.oplog else None,
@@ -1135,14 +1131,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "sharing one trace set run in-process on the "
                         "lock-step engine instead")
     p.add_argument("--max-batch", type=_positive_int, default=8,
-                   help="largest batch dispatched to the runner")
-    p.add_argument("--batch-window", type=float, default=0.05,
-                   help="seconds to wait for submissions to coalesce")
+                   help="largest batch dispatched to the runner; a batch "
+                        "is whatever is queued when the runner is free")
     p.add_argument("--queue-limit", type=_positive_int, default=64,
                    help="admission queue bound; beyond it submissions "
                         "get 429 + Retry-After")
-    p.add_argument("--retry-after", type=float, default=0.5,
-                   help="Retry-After hint (seconds) on backpressure")
     p.add_argument("--cache-dir", default=None,
                    help="result cache directory shared by all clients "
                         "(default: the runner's standard cache)")
@@ -1190,8 +1183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=_positive_int, default=8,
                    help="largest runner batch per shard; see "
                         "`cohort serve --max-batch`")
-    p.add_argument("--batch-window", type=float, default=0.05,
-                   help="per-shard batching window in seconds")
     p.add_argument("--queue-limit", type=_positive_int, default=64,
                    help="per-shard admission queue bound; the router "
                         "leaves at most this many uncollected jobs on "
@@ -1199,8 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--admission-limit", type=_positive_int, default=256,
                    help="fleet-wide pending-job bound; beyond it "
                         "submissions get 429 + Retry-After")
-    p.add_argument("--retry-after", type=float, default=0.5,
-                   help="Retry-After hint (seconds) on backpressure")
     p.add_argument("--cache-dir", default=None,
                    help="result cache directory shared by every shard "
                         "(default: <fleet-dir>/cache)")

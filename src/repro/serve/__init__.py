@@ -2,9 +2,9 @@
 
 ``cohort serve`` turns the repository's :class:`~repro.runner.SweepRunner`
 into a long-lived JSON-over-HTTP service: submissions from many clients
-are coalesced into runner batches inside a micro-batching window, share
-one on-disk result cache, and are admission-controlled by a bounded
-queue with explicit backpressure.  See ``docs/serving.md``.
+run as whatever batch is queued when the runner is free, share one
+on-disk result cache, and are admission-controlled by a bounded queue
+with explicit backpressure.  See ``docs/serving.md``.
 
 ``cohort fleet`` (:mod:`repro.serve.fleet`) scales that out and makes it
 self-healing: a :class:`ShardSupervisor` spawns N serve shards as

@@ -18,7 +18,7 @@ import urllib.parse
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.obs.ops import OpLogger, new_trace_id
-from repro.serve.service import JobSpec, ServeError
+from repro.serve.service import RETRY_AFTER, JobSpec, ServeError
 
 SpecLike = Union[JobSpec, Dict[str, Any]]
 
@@ -180,18 +180,16 @@ class ServeClient:
         specs: Sequence[SpecLike],
         *,
         max_retries: int = 0,
-        backoff: Optional[float] = None,
         trace_id: Optional[str] = None,
-        max_backoff: float = MAX_BACKOFF_SECONDS,
     ) -> List[Dict[str, Any]]:
         """Submit one batch; returns the accepted job documents.
 
         A ``429`` is retried up to ``max_retries`` times (a hard
         attempts cap, never unbounded).  Each retry sleeps the
-        server-provided ``Retry-After`` hint (or ``backoff``) scaled
-        exponentially by the attempt number, ±25% uniform jitter so a
-        thundering herd of rejected clients decorrelates, and clamped
-        to ``max_backoff``.  When retries run out a
+        server-provided ``Retry-After`` hint scaled exponentially by the
+        attempt number, ±25% uniform jitter so a thundering herd of
+        rejected clients decorrelates, and clamped to
+        :data:`MAX_BACKOFF_SECONDS`.  When retries run out a
         :class:`BackpressureError` carries the last hint so callers can
         implement their own policy.  ``trace_id`` seeds the submission's
         trace context (minted here when omitted) and is sent as
@@ -217,7 +215,7 @@ class ServeClient:
                 )
                 return list(doc.get("jobs", []))
             if status == 429:
-                retry_after = self._retry_after(headers, doc, backoff)
+                retry_after = self._retry_after(headers, doc)
                 if attempt >= max_retries:
                     self.oplog.emit(
                         "client_backpressure_giveup", trace_id=trace,
@@ -228,7 +226,9 @@ class ServeClient:
                         retry_after=retry_after,
                     )
                 attempt += 1
-                delay = self._backoff_delay(retry_after, attempt, max_backoff)
+                delay = self._backoff_delay(
+                    retry_after, attempt, MAX_BACKOFF_SECONDS
+                )
                 self.oplog.emit(
                     "client_backoff", trace_id=trace, attempt=attempt,
                     retry_after=retry_after, sleep_s=round(delay, 4),
@@ -255,9 +255,7 @@ class ServeClient:
         return max(0.001, min(jittered, max_backoff))
 
     @staticmethod
-    def _retry_after(
-        headers: Dict[str, str], doc: Any, fallback: Optional[float]
-    ) -> float:
+    def _retry_after(headers: Dict[str, str], doc: Any) -> float:
         for key, value in headers.items():
             if key.lower() == "retry-after":
                 try:
@@ -268,7 +266,7 @@ class ServeClient:
             doc.get("retry_after"), (int, float)
         ):
             return float(doc["retry_after"])
-        return fallback if fallback is not None else 0.5
+        return RETRY_AFTER
 
     def job(self, job_id: str) -> Dict[str, Any]:
         """Fetch one job record (``GET /jobs/<id>``); 404 raises."""

@@ -62,6 +62,7 @@ from repro.obs.ops import OpLogger
 from repro.obs.schema import FLEET_METRICS_SCHEMA, INTAKE_JOURNAL_SCHEMA
 from repro.serve.server import LoopThread, read_headers
 from repro.serve.service import (
+    RETRY_AFTER,
     DrainingError,
     JobSpec,
     JobSpecError,
@@ -510,6 +511,8 @@ class ShardSupervisor:
     #: it logs once the router's front-end has closed.
     command = "fleet"
     exit_event = "fleet_exit"
+    #: The hint of every 429/503 and the wait after a shard refuses one.
+    retry_after = RETRY_AFTER
 
     def __init__(
         self,
@@ -520,12 +523,10 @@ class ShardSupervisor:
         cache_dir: Optional[str] = None,
         shard_jobs: int = 1,
         max_batch: int = 8,
-        batch_window: float = 0.05,
         shard_queue_limit: int = 64,
         job_timeout: Optional[float] = None,
         cache_budget_bytes: int = 0,
         admission_limit: int = 256,
-        retry_after: float = 0.5,
         heartbeat_deadline: float = 3.0,
         oplog: Optional[OpLogger] = None,
     ) -> None:
@@ -544,12 +545,10 @@ class ShardSupervisor:
         )
         self.shard_jobs = shard_jobs
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self.shard_queue_limit = shard_queue_limit
         self.job_timeout = job_timeout
         self.cache_budget_bytes = cache_budget_bytes
         self.admission_limit = admission_limit
-        self.retry_after = retry_after
         self.heartbeat_deadline = heartbeat_deadline
         # Twelve probes per deadline, each allowed a third of it: a
         # shard is declared down only after several missed probes.
@@ -716,7 +715,6 @@ class ShardSupervisor:
             "--port", str(shard.port),
             "--jobs", str(self.shard_jobs),
             "--max-batch", str(self.max_batch),
-            "--batch-window", str(self.batch_window),
             "--queue-limit", str(self.shard_queue_limit),
             "--cache-dir", self.cache_dir,
             "--oplog",

@@ -1,15 +1,16 @@
-"""Job specs, records, and the micro-batching core of ``cohort serve``.
+"""Job specs, records, and the batching core of ``cohort serve``.
 
 The service turns independent HTTP submissions into
 :class:`~repro.runner.SweepRunner` batches:
 
 * a **bounded admission queue** (``queue_limit``) gives explicit
   backpressure — a submission that does not fit is rejected with a
-  ``retry_after`` hint instead of being buffered without bound;
-* a **micro-batching window** (``batch_window`` seconds, ``max_batch``
-  jobs) coalesces near-simultaneous submissions so the runner amortises
-  process-pool dispatch and so duplicate jobs from different clients
-  collapse onto the shared on-disk result cache;
+  :data:`RETRY_AFTER` hint instead of being buffered without bound;
+* **work-conserving batching**: whenever the runner is free, the queued
+  jobs (up to ``max_batch``) run as one batch, so jobs arriving during
+  a batch share the next one — amortising process-pool dispatch and
+  collapsing duplicates onto the shared result cache — while a job that
+  finds the runner idle starts at once;
 * batches execute on a thread-pool executor, keeping the event loop
   (and therefore ``/healthz``, ``/metrics`` and status polling)
   responsive while simulations run;
@@ -34,12 +35,17 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, 
 from repro.obs.metrics import LatencyHistogram
 from repro.obs.ops import OpLogger, build_service_trace
 from repro.obs.report import SERVE_METRICS_SCHEMA
-from repro.params import cohort_config, config_from_dict
+from repro.params import SimConfig, cohort_config, config_from_dict
 from repro.runner import SweepJob, SweepRunner
+from repro.sim.protocols import get_protocol
 from repro.workloads import benchmark_names, splash_traces
 
 if TYPE_CHECKING:
     from repro.qa import RunManifest
+
+#: Seconds every 429 and 503 tells the client to wait (``Retry-After``),
+#: and the fleet router's wait before re-sending to a refusing shard.
+RETRY_AFTER = 0.5
 
 
 class ServeError(Exception):
@@ -100,7 +106,11 @@ class JobSpec:
         ):
             raise JobSpecError("thetas must be a non-empty list of integers")
         scale = doc.get("scale", 0.3)
-        if not isinstance(scale, (int, float)) or not 0 < scale <= 10:
+        if (
+            isinstance(scale, bool)
+            or not isinstance(scale, (int, float))
+            or not 0 < scale <= 10
+        ):
             raise JobSpecError("scale must be a number in (0, 10]")
         seed = doc.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -120,7 +130,7 @@ class JobSpec:
         }
         if unknown:
             raise JobSpecError(f"unknown job spec fields: {sorted(unknown)}")
-        return cls(
+        spec = cls(
             benchmark=benchmark,
             thetas=tuple(thetas),
             scale=float(scale),
@@ -129,6 +139,14 @@ class JobSpec:
             record_latencies=record_latencies,
             config=config,
         )
+        # Build what the runner will build (all but the traces), so a
+        # spec it cannot run is refused here instead of failing the
+        # batch it would share with other clients' jobs.
+        try:
+            get_protocol(spec.sim_config().protocol)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise JobSpecError(f"job spec cannot be run: {exc}") from None
+        return spec
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialise to the wire format ``from_dict`` accepts back."""
@@ -151,15 +169,18 @@ class JobSpec:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
+    def sim_config(self) -> SimConfig:
+        """The configuration this spec runs (cheap: no traces)."""
+        if self.config is not None:
+            return config_from_dict(dict(self.config))
+        kwargs: Dict[str, Any] = {}
+        if self.protocol is not None:
+            kwargs["protocol"] = self.protocol
+        return cohort_config(list(self.thetas), **kwargs)
+
     def to_sweep_job(self) -> SweepJob:
         """Materialise the runnable job (generates traces; CPU-bound)."""
-        if self.config is not None:
-            cfg = config_from_dict(dict(self.config))
-        else:
-            kwargs: Dict[str, Any] = {}
-            if self.protocol is not None:
-                kwargs["protocol"] = self.protocol
-            cfg = cohort_config(list(self.thetas), **kwargs)
+        cfg = self.sim_config()
         traces = splash_traces(
             self.benchmark, cfg.num_cores, scale=self.scale, seed=self.seed
         )
@@ -217,7 +238,7 @@ class JobRecord:
 
 
 class BatchingService:
-    """Bounded-queue micro-batching front-end over one ``SweepRunner``.
+    """Bounded-queue batching front-end over one ``SweepRunner``.
 
     All public methods must be called from the event loop thread (the
     HTTP handlers and the batcher share one loop, so queue accounting
@@ -232,30 +253,24 @@ class BatchingService:
     #: closed.
     command = "serve"
     exit_event = "server_exit"
+    #: The hint sent with every 429 and 503 (:data:`RETRY_AFTER`).
+    retry_after = RETRY_AFTER
 
     def __init__(
         self,
         runner: SweepRunner,
         *,
         max_batch: int = 8,
-        batch_window: float = 0.05,
         queue_limit: int = 64,
-        retry_after: float = 0.5,
         oplog: Optional[OpLogger] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if retry_after <= 0:
-            raise ValueError("retry_after must be > 0")
         self.runner = runner
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self.queue_limit = queue_limit
-        self.retry_after = retry_after
         self._queue: List[JobRecord] = []
         self._jobs: Dict[str, JobRecord] = {}
         self._wakeup = asyncio.Event()
@@ -307,8 +322,7 @@ class BatchingService:
             "drain", queued=len(self._queue), inflight=self._inflight
         )
         self._wakeup.set()
-        while self._queue or self._inflight:
-            await asyncio.sleep(0.01)
+        # The batcher returns once draining with nothing queued.
         if self._task is not None:
             await self._task
             self._task = None
@@ -383,33 +397,17 @@ class BatchingService:
     # -- batching ------------------------------------------------------------
 
     async def _run(self) -> None:
+        """Run up to ``max_batch`` queued jobs whenever the runner is
+        free; arrivals during a batch form the next one."""
         while True:
             while not self._queue:
                 if self._draining:
                     return
                 self._wakeup.clear()
                 await self._wakeup.wait()
-            batch = await self._gather_batch()
+            batch = self._queue[:self.max_batch]
+            del self._queue[:self.max_batch]
             await self._execute(batch)
-
-    async def _gather_batch(self) -> List[JobRecord]:
-        """Pop one job, then coalesce arrivals inside the window."""
-        loop = asyncio.get_running_loop()
-        batch = [self._queue.pop(0)]
-        deadline = loop.time() + self.batch_window
-        while len(batch) < self.max_batch:
-            if self._queue:
-                batch.append(self._queue.pop(0))
-                continue
-            remaining = deadline - loop.time()
-            if remaining <= 0 or self._draining:
-                break
-            self._wakeup.clear()
-            try:
-                await asyncio.wait_for(self._wakeup.wait(), remaining)
-            except asyncio.TimeoutError:
-                break
-        return batch
 
     async def _execute(self, batch: List[JobRecord]) -> None:
         self._inflight = len(batch)
@@ -523,7 +521,6 @@ class BatchingService:
                 "inflight": self._inflight,
                 "draining": self._draining,
                 "max_batch": self.max_batch,
-                "batch_window": self.batch_window,
                 "retry_after": self.retry_after,
                 "jobs_submitted": self.jobs_submitted,
                 "jobs_rejected": self.jobs_rejected,

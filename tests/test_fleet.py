@@ -882,7 +882,6 @@ def fleet(tmp_path_factory):
         shards=2,
         fleet_dir=str(root / "state"),
         cache_dir=str(root / "cache"),
-        batch_window=0.02,
         heartbeat_deadline=1.5,
     )
     thread.start()
@@ -1013,7 +1012,7 @@ class TestClientConnectRetry:
         def bring_up():
             # The server arrives only after the client was refused.
             refused.wait(timeout=30)
-            thread = ServerThread(port=port, batch_window=0.01)
+            thread = ServerThread(port=port)
             thread.start()
             server_box.append(thread)
 

@@ -173,7 +173,6 @@ class TestJournalReplayIntegration:
             shards=2,
             fleet_dir=str(tmp_path / "state"),
             cache_dir=str(tmp_path / "cache"),
-            batch_window=0.02,
             heartbeat_deadline=1.5,
         )
         fleet.start()

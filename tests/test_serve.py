@@ -11,6 +11,7 @@ class against a :class:`FleetThread` router.
 import asyncio
 import json
 import socket
+import threading
 
 import pytest
 
@@ -48,7 +49,7 @@ class ServeBackend:
     def thread(root):
         runner = SweepRunner(jobs=1, cache_dir=str(root / "cache"))
         return ServerThread(
-            runner=runner, max_batch=4, batch_window=0.01, queue_limit=16
+            runner=runner, max_batch=4, queue_limit=16
         )
 
     schema = SERVE_METRICS_SCHEMA
@@ -70,7 +71,7 @@ class FleetBackend:
     def thread(root):
         return FleetThread(
             shards=1, fleet_dir=str(root / "fleet"),
-            cache_dir=str(root / "cache"), max_batch=4, batch_window=0.01,
+            cache_dir=str(root / "cache"), max_batch=4,
             shard_queue_limit=16, admission_limit=16,
         )
 
@@ -134,10 +135,25 @@ class TestJobSpec:
         assert job.digest() == direct.digest()
 
 
+class GatedRunner:
+    """A stand-in runner whose first ``run`` blocks until ``release``."""
+
+    oplog = None
+
+    def __init__(self):
+        self.release = threading.Event()
+        self.batch_sizes = []
+
+    def run(self, jobs, op_context=None):
+        self.batch_sizes.append(len(jobs))
+        if len(self.batch_sizes) == 1:
+            self.release.wait(timeout=30)
+        return [{"final_cycle": 1} for _ in jobs]
+
+
 class TestBatchingService:
     def _service(self, **kwargs):
         kwargs.setdefault("max_batch", 4)
-        kwargs.setdefault("batch_window", 0.01)
         kwargs.setdefault("queue_limit", 8)
         return BatchingService(SweepRunner(jobs=1, cache_dir=None), **kwargs)
 
@@ -157,6 +173,43 @@ class TestBatchingService:
         assert {r.status for r in records} == {"done"}
         assert all(r.result["final_cycle"] > 0 for r in records)
         assert all(r.digest for r in records)
+
+    def test_lone_job_reaches_the_runner_without_waiting(self):
+        async def scenario():
+            service = self._service()
+            await service.start()
+            records = service.submit([tiny_spec()])
+            for _ in range(3):
+                await asyncio.sleep(0)
+            batches = service.batches
+            await self._wait_done(records)
+            await service.drain()
+            return batches
+
+        assert asyncio.run(scenario()) == 1
+
+    def test_arrivals_during_a_batch_run_as_the_next_batch(self):
+        runner = GatedRunner()
+
+        async def scenario():
+            service = BatchingService(runner, max_batch=4, queue_limit=8)
+            await service.start()
+            records = service.submit([tiny_spec()])
+            for _ in range(3):
+                await asyncio.sleep(0)
+            # The first batch has left the queue and its run blocks;
+            # three separate submissions queue up behind it.
+            for seed in (1, 2, 3):
+                records += service.submit([tiny_spec(seed=seed)])
+            runner.release.set()
+            await self._wait_done(records)
+            await service.drain()
+            return service, records
+
+        service, records = asyncio.run(scenario())
+        assert runner.batch_sizes == [1, 3]
+        assert service.batches == 2
+        assert {r.status for r in records} == {"done"}
 
     def test_queue_limit_rejects_with_retry_after(self):
         async def scenario():
@@ -187,7 +240,7 @@ class TestBatchingService:
         async def scenario():
             runner = SweepRunner(jobs=1, cache_dir=str(tmp_path / "sweeps"))
             service = BatchingService(
-                runner, max_batch=2, batch_window=0.01, queue_limit=8
+                runner, max_batch=2, queue_limit=8
             )
             await service.start()
             first = service.submit([tiny_spec()])
@@ -319,6 +372,24 @@ class TestHTTPServer(ServeBackend):
             client.submit([dict(TINY, benchmark="nope")])
         assert excinfo.value.status == 400
 
+    def test_unbuildable_spec_is_400(self, client):
+        from repro.params import cohort_config, config_to_dict
+        from repro.serve import ServeClientError
+
+        config = config_to_dict(cohort_config(TINY["thetas"]))
+        no_cores = {k: v for k, v in config.items() if k != "cores"}
+        for bad in (
+            dict(TINY, thetas=[60, 0, 20, 20]),
+            dict(TINY, protocol="nope"),
+            dict(TINY, config=no_cores),
+            dict(TINY, scale=True),
+            # JSON ``Infinity``: int() of it overflows.
+            dict(TINY, config=dict(config, dram_latency=float("inf"))),
+        ):
+            with pytest.raises(ServeClientError) as excinfo:
+                client.submit([bad])
+            assert excinfo.value.status == 400
+
     def test_unknown_job_is_404(self, client):
         from repro.serve import ServeClientError
 
@@ -404,8 +475,7 @@ class TestTraceContextOverHTTP:
         oplog = OpLogger(path=str(tmp_path / "op.jsonl"))
         runner = SweepRunner(jobs=1, cache_dir=str(tmp_path / "cache"))
         with ServerThread(
-            runner=runner, max_batch=4, batch_window=0.01,
-            queue_limit=16, oplog=oplog,
+            runner=runner, max_batch=4, queue_limit=16, oplog=oplog,
         ) as thread:
             yield thread
 
@@ -577,7 +647,7 @@ class TestBackpressureOverHTTP:
         # through any organic saturation until every job lands.
         runner = SweepRunner(jobs=1, cache_dir=None)
         with ServerThread(
-            runner=runner, max_batch=1, batch_window=0.0, queue_limit=2
+            runner=runner, max_batch=1, queue_limit=2
         ) as thread:
             client = ServeClient(thread.base_url, timeout=30.0)
             with pytest.raises(BackpressureError) as excinfo:
@@ -588,7 +658,7 @@ class TestBackpressureOverHTTP:
             accepted = []
             for spec in specs:
                 accepted.extend(
-                    client.submit([spec], max_retries=50, backoff=0.05)
+                    client.submit([spec], max_retries=50)
                 )
             records = client.wait(
                 [doc["id"] for doc in accepted], timeout=300
@@ -706,7 +776,7 @@ class TestMonotonicDurations:
         async def scenario():
             service = BatchingService(
                 SweepRunner(jobs=1, cache_dir=None),
-                max_batch=4, batch_window=0.01, queue_limit=8,
+                max_batch=4, queue_limit=8,
                 oplog=OpLogger(path=str(oplog_path), component="serve"),
             )
             records = service.submit([tiny_spec()])
@@ -740,7 +810,7 @@ class TestAtomicAdmission:
         async def scenario():
             service = BatchingService(
                 SweepRunner(jobs=1, cache_dir=None),
-                max_batch=4, batch_window=0.01, queue_limit=8,
+                max_batch=4, queue_limit=8,
             )
 
             async def burst(seed0):
