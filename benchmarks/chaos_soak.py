@@ -18,7 +18,7 @@ availability.  After the soak the script settles the fleet (every shard
 healthy again), then measures:
 
 * **durability** — every 202-accepted job reached ``done`` (zero lost,
-  zero failed), every write-ahead journal is empty,
+  zero failed), the write-ahead journal is empty,
 * **correctness** — every result is byte-identical to a direct
   ``SweepRunner.run`` of the same spec on a private cache,
 * **recovery** — every killed/hung shard came back, worst recovery
@@ -209,13 +209,13 @@ def measure(out_dir):
                              connect_retries=5)
         supervisor = fleet.supervisor
 
-        # Wave 1: populate the cache and the journals under no faults.
+        # Wave 1: populate the cache and the journal under no faults.
         all_accepted += submit_wave(client, "wave 1 (clean)")
         client.wait([job_id for job_id, _ in all_accepted],
                     timeout=WAIT_TIMEOUT)
 
         # Wave 2: resubmit everything, then SIGKILL a shard mid-flight;
-        # its in-flight jobs must replay from the journal and fail over.
+        # its in-flight jobs must be requeued and fail over.
         wave2 = submit_wave(client, "wave 2 (SIGKILL mid-flight)")
         all_accepted += wave2
         victim = supervisor.shards[0]

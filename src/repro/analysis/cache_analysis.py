@@ -200,14 +200,6 @@ class IsolationProfile:
         self._sat_cache[wcl] = sat
         return sat
 
-    # ------------------------------------------------------------ hit curve
-
-    def hit_curve(
-        self, thetas: Sequence[int], wcl: int
-    ) -> List[GuaranteedCounts]:
-        """Guaranteed counts for a sweep of timer values (fixed WCL)."""
-        return [self.analyze(t, wcl) for t in thetas]
-
 
 def build_profiles(
     traces: Sequence[Trace],

@@ -129,19 +129,26 @@ def _write_sweep_metrics(args: argparse.Namespace, runner,
     print(f"sweep metrics written to {args.metrics_out}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, ga: bool = False, jobs: bool = False
+) -> None:
+    """``--scale`` and ``--seed``; the GA flags and ``--jobs`` only for
+    the commands that read them."""
     parser.add_argument("--scale", type=float, default=1.0,
                         help="workload size multiplier")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--population", type=int, default=24,
-                        help="GA population size")
-    parser.add_argument("--generations", type=int, default=20,
-                        help="GA generations")
-    parser.add_argument("-j", "--jobs", type=_positive_int, default=1,
-                        help="worker processes (1 = serial) for optimize's "
-                             "analytic GA fitness and for sweep jobs that "
-                             "reach the process pool; jobs sharing one trace "
-                             "set run in-process on the lock-step engine")
+    if ga:
+        parser.add_argument("--population", type=int, default=24,
+                            help="GA population size")
+        parser.add_argument("--generations", type=int, default=20,
+                            help="GA generations")
+    if jobs:
+        parser.add_argument("-j", "--jobs", type=_positive_int, default=1,
+                            help="worker processes (1 = serial) for "
+                                 "optimize's analytic GA fitness and for "
+                                 "sweep jobs that reach the process pool; "
+                                 "jobs sharing one trace set run in-process "
+                                 "on the lock-step engine")
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -818,9 +825,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     Spawns N ``cohort serve`` shard subprocesses sharing one hardened
     result cache, routes jobs by consistent hash of their content key,
-    journals every accepted job to a per-shard write-ahead intake log
-    before acknowledging it, and restarts crashed/hung shards with
-    capped exponential backoff while live shards absorb the failover.
+    journals every accepted submission to the router's write-ahead
+    intake journal before acknowledging it, and restarts crashed/hung
+    shards with capped exponential backoff while live shards absorb
+    the failover.
     """
     import asyncio
 
@@ -994,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="per-mode optimized timer values")
     p.add_argument("-b", "--benchmark", default="fft",
                    choices=benchmark_names())
-    _add_common(p)
+    _add_common(p, ga=True)
     p.set_defaults(fn=cmd_table2)
 
     p = sub.add_parser("fig5", help="WCML: CoHoRT vs PCC vs PENDULUM")
@@ -1005,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the non-perfect LLC + DRAM model (footnote 1)")
     _add_metrics_out(p, "sweep cache/timing counters")
     _add_manifest_out(p)
-    _add_common(p)
+    _add_common(p, ga=True, jobs=True)
     p.set_defaults(fn=cmd_fig5)
 
     p = sub.add_parser("fig6", help="normalised execution time")
@@ -1018,14 +1026,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "(protocol registry plugin) as a fifth column")
     _add_metrics_out(p, "sweep cache/timing counters")
     _add_manifest_out(p)
-    _add_common(p)
+    _add_common(p, ga=True, jobs=True)
     p.set_defaults(fn=cmd_fig6)
 
     p = sub.add_parser("fig7", help="mode-switch adaptation")
     p.add_argument("-b", "--benchmark", default="fft",
                    choices=benchmark_names())
     _add_manifest_out(p)
-    _add_common(p)
+    _add_common(p, ga=True)
     p.set_defaults(fn=cmd_fig7)
 
     p = sub.add_parser("all", help="run the complete reproduction")
@@ -1033,7 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=["fft", "lu", "radix", "barnes"],
                    choices=benchmark_names())
     p.add_argument("-o", "--out", help="also write the report to this file")
-    _add_common(p)
+    _add_common(p, ga=True)
     p.set_defaults(fn=cmd_all)
 
     p = sub.add_parser("optimize", help="run the timer optimization engine")
@@ -1050,7 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "C1 stays analytic)")
     _add_metrics_out(p, "the per-generation GA log (JSON Lines)")
     _add_manifest_out(p)
-    _add_common(p)
+    _add_common(p, ga=True, jobs=True)
     p.set_defaults(fn=cmd_optimize)
 
     from repro.fi.plan import ALL_KINDS
@@ -1175,8 +1183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=_positive_int, default=2,
                    help="serve shard subprocesses to supervise")
     p.add_argument("--fleet-dir", default=".cohort_fleet",
-                   help="state directory: per-shard intake journals, "
-                        "logs, oplogs (default: .cohort_fleet)")
+                   help="state directory: the intake journal, shard "
+                        "logs and oplogs (default: .cohort_fleet)")
     p.add_argument("-j", "--jobs", type=_positive_int, default=1,
                    help="worker processes per shard's sweep runner; see "
                         "`cohort serve --jobs`")
@@ -1331,7 +1339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("headroom", help="per-mode requirement headroom")
     p.add_argument("-b", "--benchmark", default="fft",
                    choices=benchmark_names())
-    _add_common(p)
+    _add_common(p, ga=True)
     p.set_defaults(fn=cmd_headroom)
 
     p = sub.add_parser("sweep", help="timer trade-off curve for core 0")

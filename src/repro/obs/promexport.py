@@ -236,7 +236,8 @@ FLEET_COUNTERS = (
     ("jobs_failed", "Jobs that ended in error across the fleet."),
     ("jobs_rejected", "Jobs refused with fleet backpressure."),
     ("failovers", "Jobs re-routed off a dead shard to a live one."),
-    ("replayed_jobs", "Accepted jobs replayed from an intake journal."),
+    ("replayed_jobs", "Accepted jobs requeued off a dead shard or "
+                      "replayed from the journal on cold start."),
     ("restarts_total", "Shard restarts performed by the supervisor."),
     ("recoveries", "Completed shard down->healthy recoveries."),
 )
@@ -247,7 +248,7 @@ FLEET_GAUGES = (
     ("shards_up", "Shards currently healthy."),
     ("admission_pending", "Accepted jobs not yet finished."),
     ("admission_limit", "Fleet admission bound."),
-    ("journal_live", "Unretired intake-journal entries across shards."),
+    ("journal_live", "Unretired entries of the router's intake journal."),
     ("journal_torn_lines", "Torn journal lines tolerated on replay."),
     ("recovery_seconds_max", "Worst shard recovery time observed."),
     ("recovery_seconds_mean", "Mean shard recovery time observed."),

@@ -37,7 +37,7 @@ OPLOG_SCHEMA = "repro.obs/oplog/1"
 #: Schema tag stamped into ``cohort fleet`` /metrics snapshots.
 FLEET_METRICS_SCHEMA = "repro.obs/fleet_metrics/1"
 #: Schema tag stamped into every write-ahead intake-journal line
-#: (the per-shard JSONL the fleet router fsyncs on admission).
+#: (the one JSONL file the fleet router fsyncs on admission).
 INTAKE_JOURNAL_SCHEMA = "repro.serve/intake_journal/1"
 #: Schema tag stamped into every ``repro.qa`` run manifest.
 RUN_MANIFEST_SCHEMA = "repro.qa/run_manifest/1"
@@ -90,7 +90,8 @@ OPLOG_EVENT_JSON_SCHEMA: Dict[str, Any] = {
 #: journal is the fleet router's durability contract: an ``admit`` line
 #: is fsync'd before the 202 leaves the building, a matching ``retire``
 #: line closes it, and replay ignores everything else.  Lines are
-#: strictly ordered by ``seq`` within one journal file.
+#: strictly ordered by ``seq`` within one journal file.  ``shard`` is
+#: written only by routers that kept one journal per shard.
 INTAKE_JOURNAL_JSON_SCHEMA: Dict[str, Any] = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "repro.serve write-ahead intake-journal line",

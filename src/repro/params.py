@@ -37,20 +37,6 @@ class ArbiterKind(str, enum.Enum):
     #: with non-critical cores served only in slack (PENDULUM).
 
 
-class CriticalityLevel(enum.IntEnum):
-    """Convenience names for the criticality levels used in the evaluation.
-
-    The model itself supports any number of levels (``1`` is the lowest);
-    these names exist only for readable example/benchmark code.
-    """
-
-    LEVEL_1 = 1
-    LEVEL_2 = 2
-    LEVEL_3 = 3
-    LEVEL_4 = 4
-    LEVEL_5 = 5
-
-
 @dataclass(frozen=True)
 class LatencyParams:
     """Bus and cache latencies, in cycles.

@@ -11,14 +11,14 @@ hardened on-disk result cache — and puts a supervising router in front:
   submissions of the same spec land on the same shard and its warm
   in-process memo, while the shared cache directory backstops every
   shard with cross-shard warm replication.
-* **Durability** — every accepted job is appended to a per-shard
-  write-ahead intake journal (schema-versioned JSONL,
+* **Durability** — every accepted submission is appended to the
+  router's one write-ahead intake journal (schema-versioned JSONL,
   :data:`repro.obs.schema.INTAKE_JOURNAL_SCHEMA`) and ``fsync``'d
-  *before* the 202 is sent; the entry is retired when the job finishes
+  *before* the 202 is sent; an entry is retired when its job finishes
   and the file is truncated once no live entries remain.  An accepted
-  202 is never lost: a crashed shard's unfinished jobs are replayed
-  from its journal, and a crashed supervisor replays every journal on
-  cold start.
+  202 is never lost: a crashed shard's unfinished jobs are requeued
+  from the router's job records, and a restarted router replays the
+  journal's live entries on cold start.
 * **Supervision** — each shard is health-checked over ``/healthz``
   with a heartbeat deadline, the one timing an operator sets: probes
   run every deadline/12 and time out after deadline/3.  A crashed
@@ -37,7 +37,7 @@ Everything is asyncio + stdlib, single event-loop-thread state like
 :class:`BatchingService`.  Journal fsyncs run on an executor thread so
 a slow disk never stalls the event loop; because that makes ``submit``
 yield mid-admission, admission slots are reserved atomically *before*
-the first await (see :meth:`ShardSupervisor.submit`).  See
+the await (see :meth:`ShardSupervisor.submit`).  See
 ``docs/serving.md`` for the architecture and ``docs/resilience.md``
 for the failure-mode map.
 """
@@ -45,6 +45,7 @@ for the failure-mode map.
 from __future__ import annotations
 
 import asyncio
+import glob
 import json
 import os
 import socket
@@ -190,7 +191,7 @@ async def _http_json(
 
 
 class WriteAheadJournal:
-    """Per-shard durability log for accepted-but-unfinished jobs.
+    """The router's durability log for accepted-but-unfinished jobs.
 
     Append-only JSONL, one schema-tagged record per line
     (:data:`INTAKE_JOURNAL_SCHEMA`): ``admit`` lines carry the full job
@@ -200,15 +201,15 @@ class WriteAheadJournal:
     truncated to zero, so the journal's steady-state size is the
     in-flight window, not the service's lifetime.
 
-    Loading an existing file (supervisor cold start, or a shard-down
-    replay) tolerates a torn final line: a line that does not parse was
-    never fully written, which means its ``admit`` never produced a 202
-    — dropping it loses nothing a client was promised.
+    Loading an existing file (router cold start) tolerates a torn final
+    line: a line that does not parse was never fully written, which
+    means its ``admit`` never produced a 202 — dropping it loses
+    nothing a client was promised.
 
     Thread-safe: the supervisor runs admits on an executor thread (the
     fsync must not stall the event loop under submission load) while
-    retires and replay sweeps run on the loop thread, so every mutation
-    and every read of the live set takes the internal lock.
+    retires run on the loop thread, so every mutation and every read of
+    the live set takes the internal lock.
     """
 
     def __init__(self, path: str) -> None:
@@ -261,52 +262,54 @@ class WriteAheadJournal:
             self._fh = open(self.path, "a")
         return self._fh
 
-    def _append(self, record: Dict[str, Any]) -> None:
+    def _append(self, op: str, docs: Sequence[Dict[str, Any]]) -> None:
+        """Write one ``op`` line per field dict, then flush and fsync once."""
         fh = self._sink()
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for doc in docs:
+            record = {
+                "schema": INTAKE_JOURNAL_SCHEMA, "op": op, "seq": self._seq,
+                "ts": time.time(), **doc,
+            }
+            self._seq += 1
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
 
-    def admit(self, job: Dict[str, Any], shard: int) -> int:
-        """Durably record one accepted job; returns its sequence number.
+    def admit(self, jobs: Sequence[Dict[str, Any]]) -> None:
+        """Durably record one accepted submission's jobs.
 
-        ``job`` must carry at least ``id`` and ``spec`` (the wire-format
-        spec document).  The record is on disk — fsync'd — when this
-        returns, which is the precondition for sending the 202.
+        Each job must carry at least ``id`` and ``spec`` (the wire-format
+        spec document).  Every record is on disk — fsync'd — when this
+        returns, which is the precondition for sending the 202.  If it
+        raises, none of the jobs is live and the file is cut back to
+        where the submission began, so no later cold start replays part
+        of a submission that was refused.
         """
         with self._lock:
-            seq = self._seq
-            self._seq += 1
-            self._append(
-                {
-                    "schema": INTAKE_JOURNAL_SCHEMA,
-                    "op": "admit",
-                    "seq": seq,
-                    "ts": time.time(),
-                    "shard": shard,
-                    "job": job,
-                }
-            )
-            self._live[job["id"]] = job
-            self.admits += 1
-            return seq
+            fh = self._sink()
+            size = os.fstat(fh.fileno()).st_size
+            try:
+                self._append("admit", [{"job": job} for job in jobs])
+            except OSError:
+                # Lines may still sit in the write buffer, and closing
+                # flushes them: close first, then cut the file back.
+                self._fh = None
+                try:
+                    fh.close()
+                except OSError:
+                    pass
+                os.truncate(self.path, size)
+                raise
+            for job in jobs:
+                self._live[job["id"]] = job
+            self.admits += len(jobs)
 
     def retire(self, job_id: str) -> bool:
         """Close one admitted entry; truncate when none remain live."""
         with self._lock:
             if job_id not in self._live:
                 return False
-            seq = self._seq
-            self._seq += 1
-            self._append(
-                {
-                    "schema": INTAKE_JOURNAL_SCHEMA,
-                    "op": "retire",
-                    "seq": seq,
-                    "ts": time.time(),
-                    "job_id": job_id,
-                }
-            )
+            self._append("retire", [{"job_id": job_id}])
             del self._live[job_id]
             self.retires += 1
             if not self._live:
@@ -479,7 +482,6 @@ class ShardState:
     down_since: Optional[float] = None
     routed: int = 0
     completed: int = 0
-    journal: Optional[WriteAheadJournal] = None
     log_path: str = ""
     restart_task: Optional["asyncio.Task"] = None
 
@@ -501,8 +503,8 @@ class ShardSupervisor:
     All public methods must be called from the event loop thread (the
     HTTP handlers, dispatchers and the health monitor share one loop).
     Shards are real ``cohort serve`` subprocesses sharing one cache
-    directory; the supervisor is the only writer of the per-shard
-    intake journals.
+    directory; the supervisor is the only writer of the intake journal,
+    ``<fleet_dir>/intake.journal.jsonl``.
     """
 
     #: Names this backend in the ``cohort <command>:`` lines that
@@ -557,17 +559,16 @@ class ShardSupervisor:
         self.oplog = oplog if oplog is not None else OpLogger(
             component="fleet"
         )
-        os.makedirs(self.fleet_dir, exist_ok=True)
-        self.shards: List[ShardState] = []
-        for index in range(shards):
-            shard = ShardState(
+        self.journal = WriteAheadJournal(
+            os.path.join(self.fleet_dir, "intake.journal.jsonl")
+        )
+        self.shards = [
+            ShardState(
                 index=index,
-                journal=WriteAheadJournal(
-                    os.path.join(self.fleet_dir, f"shard-{index}.journal.jsonl")
-                ),
                 log_path=os.path.join(self.fleet_dir, f"shard-{index}.log"),
             )
-            self.shards.append(shard)
+            for index in range(shards)
+        ]
         self.ring = HashRing([s.index for s in self.shards])
         self._jobs: Dict[str, FleetJob] = {}
         self._wakeups: Dict[int, asyncio.Event] = {}
@@ -612,7 +613,7 @@ class ShardSupervisor:
         return self._draining and not self._unfinished
 
     async def start(self) -> None:
-        """Cold-start: replay journals, spawn shards, start the loops."""
+        """Cold-start: replay the journal, spawn shards, start the loops."""
         self._replay_cold_start()
         self._wakeups = {s.index: asyncio.Event() for s in self.shards}
         self.oplog.emit(
@@ -629,38 +630,47 @@ class ShardSupervisor:
         self._tasks.append(loop.create_task(self._health_loop()))
 
     def _replay_cold_start(self) -> None:
-        """Re-register accepted-but-unfinished jobs left in journals.
+        """Re-register the accepted-but-unfinished jobs of the journal.
 
-        A previous supervisor crash (or hard kill) leaves live entries
+        A previous router crash (or hard kill) leaves live entries
         behind; every one of them was 202-acknowledged, so each becomes
-        a queued :class:`FleetJob` again — same id, same trace context.
+        a queued :class:`FleetJob` again — same id, same trace context —
+        on its ring owner, as a fresh admission would.  An entry whose
+        spec no longer builds can never run, so it is retired.
         """
-        for shard in self.shards:
-            assert shard.journal is not None
-            for doc in shard.journal.live_jobs():
-                try:
-                    spec = JobSpec.from_dict(doc.get("spec"))
-                except JobSpecError as exc:
-                    self.oplog.emit(
-                        "journal_skip", shard=shard.index,
-                        job_id=doc.get("id"), reason=str(exc),
-                    )
-                    continue
-                record = FleetJob(
-                    id=doc["id"],
-                    spec=spec,
-                    shard=shard.index,
-                    trace_id=doc.get("trace_id"),
-                    submitted_at=doc.get("submitted_at", time.time()),
-                    submitted_mono=_clock.now(),
-                )
-                self._jobs[record.id] = record
-                self._unfinished[record.id] = record
-                self.replayed_jobs += 1
+        # Fold in the per-shard journals of routers that kept one per
+        # shard.  A crash between the admit and the remove is harmless:
+        # the live set is keyed by job id.
+        pattern = os.path.join(self.fleet_dir, "shard-*.journal.jsonl")
+        for path in sorted(glob.glob(pattern)):
+            live = WriteAheadJournal(path).live_jobs()
+            if live:
+                self.journal.admit(live)
+            os.remove(path)
+        for doc in self.journal.live_jobs():
+            try:
+                spec = JobSpec.from_dict(doc.get("spec"))
+            except JobSpecError as exc:
                 self.oplog.emit(
-                    "journal_replay", shard=shard.index, job_id=record.id,
-                    trace_id=record.trace_id, phase="cold_start",
+                    "journal_skip", job_id=doc["id"], reason=str(exc),
                 )
+                self.journal.retire(doc["id"])
+                continue
+            record = FleetJob(
+                id=doc["id"],
+                spec=spec,
+                shard=self._route_key(spec.spec_key()),
+                trace_id=doc.get("trace_id"),
+                submitted_at=doc.get("submitted_at", time.time()),
+                submitted_mono=_clock.now(),
+            )
+            self._jobs[record.id] = record
+            self._unfinished[record.id] = record
+            self.replayed_jobs += 1
+            self.oplog.emit(
+                "journal_replay", shard=record.shard, job_id=record.id,
+                trace_id=record.trace_id, phase="cold_start",
+            )
 
     async def drain(self) -> None:
         """Refuse new work, finish accepted jobs, stop shards cleanly."""
@@ -682,9 +692,7 @@ class ShardSupervisor:
         await asyncio.gather(
             *(self._stop_shard(shard) for shard in self.shards)
         )
-        for shard in self.shards:
-            assert shard.journal is not None
-            shard.journal.close()
+        self.journal.close()
         self.oplog.emit("fleet_drained")
 
     async def _stop_shard(self, shard: ShardState) -> None:
@@ -832,10 +840,9 @@ class ShardSupervisor:
                 shard.proc.kill()
             except OSError:
                 pass
-        # Replay every unfinished job the shard owns: its journal's live
-        # entries, and the jobs that failed over *to* it, whose admit
-        # records stay in the admitting shard's journal.  A job admitted
-        # here that failed over elsewhere is owned, and in flight, there.
+        # Requeue every unfinished job the shard owns, the ones that
+        # failed over to it included.  A job admitted here that failed
+        # over elsewhere is owned, and in flight, there.
         alive = {
             s.index
             for s in self.shards
@@ -964,15 +971,16 @@ class ShardSupervisor:
     ) -> List[FleetJob]:
         """Admit ``specs`` as one all-or-nothing submission.
 
-        Each accepted job is journaled (fsync'd) before this returns;
-        the HTTP layer's 202 therefore only ever describes durable
-        admissions.  The fsyncs run on an executor thread so a slow
+        The submission is journaled (fsync'd) before this returns; the
+        HTTP layer's 202 therefore only ever describes durable
+        admissions.  The fsync runs on an executor thread so a slow
         disk never stalls the event loop — which means this coroutine
         yields between the admission-limit check and the record
         registrations.  The limit check is therefore check-AND-reserve:
-        the whole batch's slots are claimed under ``_reserved`` before
-        the first ``await``, so two concurrent oversize submissions can
-        never both pass the check.
+        the whole submission's slots are claimed under ``_reserved``
+        before the await, so two concurrent oversize submissions can
+        never both pass the check.  If the journal write raises, no job
+        of the submission is registered.
         """
         if self._draining:
             self.oplog.emit(
@@ -996,49 +1004,44 @@ class ShardSupervisor:
                 f"{self.retry_after}s",
                 retry_after=self.retry_after,
             )
-        # Reserve every slot before the first await; the finally block
-        # releases whatever was not converted into a registered record.
-        self._reserved += len(specs)
-        loop = asyncio.get_running_loop()
         now = time.time()
-        records: List[FleetJob] = []
+        submitted_mono = _clock.now()
+        docs = [
+            {
+                "id": uuid.uuid4().hex[:12],
+                "spec": spec.to_dict(),
+                "trace_id": trace_id,
+                "submitted_at": now,
+            }
+            for spec in specs
+        ]
+        self._reserved += len(specs)
         try:
-            for spec in specs:
-                key = spec.spec_key()
-                shard_id = self._route_key(key)
-                record = FleetJob(
-                    id=uuid.uuid4().hex[:12],
-                    spec=spec,
-                    shard=shard_id,
-                    trace_id=trace_id,
-                    submitted_at=now,
-                    submitted_mono=_clock.now(),
-                )
-                shard = self.shards[shard_id]
-                assert shard.journal is not None
-                await loop.run_in_executor(
-                    None,
-                    shard.journal.admit,
-                    {
-                        "id": record.id,
-                        "spec": spec.to_dict(),
-                        "trace_id": trace_id,
-                        "submitted_at": now,
-                    },
-                    shard_id,
-                )
-                self._jobs[record.id] = record
-                self._unfinished[record.id] = record
-                shard.routed += 1
-                records.append(record)
-                # Convert one reservation into a registered pending job.
-                self._reserved -= 1
-                self.oplog.emit(
-                    "admit", trace_id=trace_id, job_id=record.id,
-                    shard=shard_id, spec_key=key,
-                )
+            await asyncio.get_running_loop().run_in_executor(
+                None, self.journal.admit, docs
+            )
         finally:
-            self._reserved -= len(specs) - len(records)
+            self._reserved -= len(specs)
+        # Route after the await: a shard may have gone down during it.
+        records = []
+        for doc, spec in zip(docs, specs):
+            key = spec.spec_key()
+            record = FleetJob(
+                id=doc["id"],
+                spec=spec,
+                shard=self._route_key(key),
+                trace_id=trace_id,
+                submitted_at=now,
+                submitted_mono=submitted_mono,
+            )
+            self._jobs[record.id] = record
+            self._unfinished[record.id] = record
+            self.shards[record.shard].routed += 1
+            records.append(record)
+            self.oplog.emit(
+                "admit", trace_id=trace_id, job_id=record.id,
+                shard=record.shard, spec_key=key,
+            )
         self.jobs_submitted += len(records)
         self._wake_all()
         return records
@@ -1194,17 +1197,7 @@ class ShardSupervisor:
             record.status = "failed"
             record.error = error
             self.jobs_failed += 1
-        shard = self.shards[record.shard]
-        assert shard.journal is not None
-        # Retire the job's admit record.  Check the journal of the
-        # shard that owns the job now first (the admitting one unless
-        # the job failed over), then the rest — a failed-over job's
-        # record stays in the admitting shard's journal.
-        if not shard.journal.retire(record.id):
-            for other in self.shards:
-                assert other.journal is not None
-                if other.journal.retire(record.id):
-                    break
+        self.journal.retire(record.id)
         # Monotonic duration: immune to wall-clock (NTP) steps, so no
         # clamp is needed — a negative value here would be a real bug.
         self.oplog.emit(
@@ -1217,15 +1210,10 @@ class ShardSupervisor:
 
     def metrics(self) -> Dict[str, Any]:
         """The fleet ``/metrics`` snapshot (no shard round-trips)."""
-        journal_live = 0
-        journal_torn = 0
+        journal = self.journal.counters()
         shards_doc = []
         now = _clock.now()
         for shard in self.shards:
-            assert shard.journal is not None
-            counters = shard.journal.counters()
-            journal_live += counters["live"]
-            journal_torn += counters["torn_lines"]
             shards_doc.append(
                 {
                     "index": shard.index,
@@ -1243,7 +1231,6 @@ class ShardSupervisor:
                         round(now - shard.last_healthy, 3)
                         if shard.last_healthy is not None else None
                     ),
-                    "journal": counters,
                     "serve": None,
                 }
             )
@@ -1273,8 +1260,9 @@ class ShardSupervisor:
                     sum(self.recovery_seconds) / recoveries
                     if recoveries else 0.0
                 ),
-                "journal_live": journal_live,
-                "journal_torn_lines": journal_torn,
+                "journal": journal,
+                "journal_live": journal["live"],
+                "journal_torn_lines": journal["torn_lines"],
                 "cache": {
                     "budget_bytes": self.cache_budget_bytes,
                 },

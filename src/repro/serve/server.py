@@ -85,7 +85,7 @@ class JsonHttpApp:
     :class:`~repro.serve.fleet.ShardSupervisor`; the app uses only
     ``healthz()``, ``scrape()`` (the ``/metrics`` document), ``get``,
     ``retry_after`` and ``submit`` (a coroutine on the fleet, which
-    fsyncs its intake journals off-loop).
+    fsyncs its intake journal off-loop).
     """
 
     def __init__(self, backend: Any) -> None:

@@ -100,10 +100,6 @@ class Core:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _entry(self, i: int) -> Tuple[int, int, int]:
-        """(gap, op, line_addr) of entry ``i``."""
-        return self._gaps[i], self._ops[i], self._line_addrs[i]
-
     @property
     def done(self) -> bool:
         return self.state == CoreState.DONE

@@ -75,10 +75,6 @@ class CoherenceOracle:
         """Snapshot of the per-line golden versions (campaign audits)."""
         return dict(self._golden)
 
-    def expected_version(self, line_addr: int) -> int:
-        """The latest performed write's version for ``line_addr``."""
-        return self._golden.get(line_addr, 0)
-
     def describe_core(
         self, core_id: int, line: Optional[CacheLine] = None
     ) -> str:

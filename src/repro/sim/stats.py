@@ -54,10 +54,6 @@ class CoreStats:
         return self.hits + self.misses
 
     @property
-    def miss_count_with_upgrades(self) -> int:
-        return self.misses
-
-    @property
     def hit_rate(self) -> float:
         total = self.accesses
         return self.hits / total if total else 0.0

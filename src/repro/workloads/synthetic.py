@@ -179,17 +179,6 @@ class TraceBuilder:
         return Trace.from_arrays(self._gaps, self._ops, self._addrs)
 
 
-def interleave(builders_parts: Sequence[Sequence[Trace]]) -> List[Trace]:
-    """Concatenate per-thread phase traces into one trace per thread."""
-    result = []
-    for parts in builders_parts:
-        trace = parts[0]
-        for part in parts[1:]:
-            trace = trace.concat(part)
-        result.append(trace)
-    return result
-
-
 def timer_sweep(
     num_cores: int = 4,
     accesses_per_core: int = 40_000,

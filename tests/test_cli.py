@@ -38,6 +38,25 @@ class TestParser:
         for name in available_protocols():
             assert name in err
 
+    @pytest.mark.parametrize("argv", [
+        [command, flag, "2"]
+        for command, flags in [
+            ("table2", ["--jobs"]), ("fig7", ["--jobs"]),
+            ("all", ["--jobs"]), ("headroom", ["--jobs"]),
+            ("simulate", ["--jobs", "--population", "--generations"]),
+            ("characterize", ["--jobs", "--population", "--generations"]),
+            ("sweep", ["--jobs", "--population", "--generations"]),
+        ]
+        for flag in flags
+    ] + [
+        ["trace", "generate", "-o", "out", flag, "2"]
+        for flag in ("--jobs", "--population", "--generations")
+    ], ids="_".join)
+    def test_commands_refuse_flags_they_would_ignore(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_table1(self, capsys):
@@ -54,6 +73,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "execution time" in out
         assert "WCML (bound)" in out
+
+    def test_simulate_refuses_jobs(self):
+        # One simulation runs in-process: a --jobs that would be
+        # accepted and ignored is an argparse error instead.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "-b", "water", "--scale", "0.3",
+                  "--jobs", "2"])
+        assert excinfo.value.code == 2
 
     def test_optimize_small(self, capsys):
         rc = main(

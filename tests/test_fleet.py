@@ -5,8 +5,9 @@ and the supervisor itself without processes or real time: the shards
 are an in-memory stand-in behind a stubbed ``_http_json``, a spawned
 shard is a stand-in process object, and the supervisor's clock is a
 :class:`ManualClock` that advances virtual time.  They drive failover,
-the dispatch loop and collector, drain, health probes, restart backoff
-and flap detection.  Integration tests run a real :class:`FleetThread`
+the dispatch loop and collector, drain, health probes, restart backoff,
+flap detection, admission and the cold-start replay of the intake
+journal.  Integration tests run a real :class:`FleetThread`
 — actual ``cohort serve`` subprocesses under a supervising router —
 where a SIGKILLed shard mid-flight must lose nothing, and a client on
 real sockets must survive a restarting endpoint.
@@ -14,6 +15,7 @@ real sockets must survive a restarting endpoint.
 
 import asyncio
 import collections
+import errno
 import heapq
 import io
 import itertools
@@ -27,6 +29,7 @@ import time
 import pytest
 
 from repro.obs import FLEET_METRICS_SCHEMA, OpLogger
+from repro.obs.schema import INTAKE_JOURNAL_SCHEMA
 from repro.obs.promexport import (
     parse_prometheus_text,
     prometheus_from_fleet_metrics,
@@ -46,6 +49,7 @@ from repro.serve.fleet import (
     QueueFullError,
     ShardSupervisor,
     ShardUnreachableError,
+    WriteAheadJournal,
 )
 
 TINY = dict(benchmark="fft", thetas=[60, 20, 20, 20], scale=0.05, seed=0)
@@ -253,7 +257,8 @@ def fake_fleet(tmp_path, monkeypatch, clock):
     Spawning a shard gives it a :class:`LiveProcess` on port 9000 plus
     its index; from the first health probe on, the supervisor runs its
     own code.  After the test, every request the router sent must be
-    one of :data:`ROUTER_REQUESTS`.
+    one of :data:`ROUTER_REQUESTS`, and each supervisor's journal is
+    closed.
     """
     from repro.serve import fleet
 
@@ -274,11 +279,12 @@ def fake_fleet(tmp_path, monkeypatch, clock):
             shard.port = 9000 + shard.index
 
         sup._spawn = spawn
-        made.append(fake)
+        made.append((sup, fake))
         return sup, fake
 
     yield make
-    for fake in made:
+    for sup, fake in made:
+        sup.journal.close()
         assert {(r.method, r.path) for r in fake.log} <= ROUTER_REQUESTS
 
 
@@ -290,6 +296,33 @@ def fleet_specs(count, base=0):
 
 def all_done(records):
     return all(r.status == "done" for r in records)
+
+
+def journaled(job_id, seed, **spec):
+    """One journal entry's job document, as the router writes it."""
+    return {
+        "id": job_id,
+        "spec": dict(TINY, seed=seed, **spec),
+        "trace_id": f"trace-{job_id}",
+        "submitted_at": 1000.0 + seed,
+    }
+
+
+def write_per_shard_journal(path, shard, live=(), retired=()):
+    """A journal as routers that kept one per shard wrote it.
+
+    Every admit line names its ``shard``; each ``retired`` job also has
+    a retire line.
+    """
+    lines = [
+        {"op": "admit", "shard": shard, "job": doc}
+        for doc in (*live, *retired)
+    ] + [{"op": "retire", "job_id": doc["id"]} for doc in retired]
+    with open(path, "w") as fh:
+        for seq, line in enumerate(lines):
+            fh.write(json.dumps(dict(
+                line, schema=INTAKE_JOURNAL_SCHEMA, seq=seq, ts=1000.0,
+            )) + "\n")
 
 
 def hold(sup):
@@ -369,9 +402,8 @@ class TestSupervisorFailover:
         return record
 
     def test_failed_over_job_survives_second_shard_death(self, fake_fleet):
-        # Admit on A, fail over to B, then kill B: the admit record
-        # lives in A's journal, so replay must also sweep in-memory
-        # jobs owned by B — the 202 must never be lost.
+        # Admit on A, fail over to B, then kill B: the job must be
+        # requeued on A — the 202 must never be lost.
         sup, _ = self._supervisor(fake_fleet)
         record = self._admit_one(sup)
         a = record.shard
@@ -391,8 +423,8 @@ class TestSupervisorFailover:
     def test_replay_skips_jobs_already_failed_over_elsewhere(
         self, fake_fleet
     ):
-        # A's journal still holds the admit for a job that failed over
-        # to B and is mid-flight there; A dying again must not reset it.
+        # A job admitted on A failed over to B and is mid-flight there;
+        # A dying again must not reset it.
         sup, _ = self._supervisor(fake_fleet)
         record = self._admit_one(sup)
         a = record.shard
@@ -728,7 +760,7 @@ class TestForwardPath:
         assert [r.port for r in shards.requests("POST", "/jobs")] == [
             9000 + down[0], 9000 + record.shard,
         ]
-        assert all(s.journal.live_count == 0 for s in sup.shards)
+        assert sup.journal.live_count == 0
 
     def test_job_waiting_for_its_shard_is_sent_when_the_shard_is_up(
         self, fake_fleet, clock
@@ -914,8 +946,10 @@ class TestFleetIntegration:
         assert doc["schema"] == FLEET_METRICS_SCHEMA
         assert doc["fleet"]["shards_total"] == 2
         assert len(doc["shards"]) == 2
-        for shard in doc["shards"]:
-            assert shard["journal"]["path"]
+        assert doc["fleet"]["journal"]["path"].endswith(
+            "intake.journal.jsonl"
+        )
+        assert all("journal" not in shard for shard in doc["shards"])
 
     def test_duplicate_specs_route_to_the_same_shard(self, fleet):
         client = ServeClient(fleet.base_url, connect_retries=3)
@@ -929,8 +963,8 @@ class TestFleetIntegration:
 
     def test_sigkilled_shard_loses_no_accepted_jobs(self, fleet):
         # SIGKILL a shard holding journaled work: every accepted job
-        # still finishes, the dead shard's journal entries are replayed,
-        # every journal drains, and the shard comes back.  Seed 1 keeps
+        # still finishes, the dead shard's jobs are replayed, the
+        # journal drains, and the shard comes back.  Seed 1 keeps
         # every spec out of the cache the other tests warmed.
         client = ServeClient(fleet.base_url, connect_retries=5)
         supervisor = fleet.supervisor
@@ -940,12 +974,12 @@ class TestFleetIntegration:
             for i in range(6)
         ])
         ids = [doc["id"] for doc in accepted]
-        # The journals hold every accepted job until it retires.
-        assert sum(
-            shard.journal.live_count for shard in supervisor.shards
-        ) == len(ids)
+        # The journal holds every accepted job until it retires.
+        assert sorted(
+            doc["id"] for doc in supervisor.journal.live_jobs()
+        ) == sorted(ids)
         victim = supervisor.shards[0]
-        victim_live = victim.journal.live_jobs()
+        victim_live = [doc for doc in accepted if doc["shard"] == victim.index]
         os.kill(victim.pid, signal.SIGKILL)
         records = client.wait(ids, timeout=300)
         assert all(
@@ -961,6 +995,7 @@ class TestFleetIntegration:
             pytest.fail("killed shard was not restarted")
         fleet_doc = doc["fleet"]
         assert fleet_doc["journal_live"] == 0
+        assert os.path.getsize(supervisor.journal.path) == 0
         assert fleet_doc["replayed_jobs"] - before["replayed_jobs"] >= len(
             victim_live
         )
@@ -1072,20 +1107,15 @@ class TestLastHealthyAge:
 
 class TestAtomicFleetAdmission:
     def test_concurrent_oversize_submissions_cannot_both_pass(
-        self, tmp_path
+        self, fake_fleet
     ):
-        # submit() journals each job with an fsync on an executor
+        # submit() journals a submission with an fsync on an executor
         # thread, so it yields between the admission check and the
         # record registrations.  Without reserve-before-await, two
         # concurrent 3-job submissions against admission_limit=4 both
         # read pending=0, both pass, and 6 jobs are admitted.  The
         # reservation makes exactly one lose.
-        sup = ShardSupervisor(
-            shards=2,
-            fleet_dir=str(tmp_path / "fleet"),
-            cache_dir=str(tmp_path / "cache"),
-            admission_limit=4,
-        )
+        sup, _ = fake_fleet(shards=2, admission_limit=4)
         for shard in sup.shards:
             shard.state = "up"
 
@@ -1103,6 +1133,159 @@ class TestAtomicFleetAdmission:
         assert sup.healthz()["pending"] == 3
         assert sup.jobs_submitted == 3
         assert sup.jobs_rejected == 3
+
+
+    def test_failed_journal_write_admits_no_job_of_the_submission(
+        self, fake_fleet, monkeypatch
+    ):
+        # The disk fills while the journal writes the second admit line
+        # of a 3-job submission.  The caller gets the error (a 500), so
+        # no job of it may be registered, counted, dispatched or left
+        # in the file, and its admission slots are free again.
+        log = io.StringIO()
+        sup, _ = fake_fleet(
+            shards=2, admission_limit=3,
+            oplog=OpLogger(stream=log, component="fleet"),
+        )
+        writes = []
+        open_sink = WriteAheadJournal._sink
+
+        class FullDisk:
+            """The journal's file, failing its second write."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                writes.append(text)
+                if len(writes) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(text)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        monkeypatch.setattr(
+            WriteAheadJournal, "_sink", lambda self: FullDisk(open_sink(self))
+        )
+        with pytest.raises(OSError):
+            asyncio.run(sup.submit(fleet_specs(3)))
+        assert sup.healthz()["pending"] == 0
+        assert sup.jobs_submitted == 0
+        assert oplog_events(log, "admit") == []
+        admitted = asyncio.run(sup.submit(fleet_specs(3, 3)))
+        # No line of the refused submission is left in the file for a
+        # later cold start to replay.
+        on_disk = WriteAheadJournal(sup.journal.path).live_jobs()
+        assert [doc["id"] for doc in on_disk] == [r.id for r in admitted]
+
+
+class TestColdStart:
+    """A router started over a fleet dir runs what it accepted before."""
+
+    def test_live_entries_are_replayed_on_their_ring_owner(
+        self, fake_fleet, clock, tmp_path
+    ):
+        journal = WriteAheadJournal(
+            str(tmp_path / "fleet" / "intake.journal.jsonl")
+        )
+        live = [journaled("job-0", 0), journaled("job-2", 2),
+                journaled("job-3", 3)]
+        journal.admit([live[0], journaled("job-1", 1)])
+        journal.admit(live[1:])
+        journal.retire("job-1")
+        journal.close()
+        with open(journal.path, "a") as fh:  # a crash tore the last append
+            fh.write('{"schema": "%s", "op": "adm' % INTAKE_JOURNAL_SCHEMA)
+        log = io.StringIO()
+        sup, shards = fake_fleet(
+            shards=2, oplog=OpLogger(stream=log, component="fleet"),
+        )
+
+        async def scenario():
+            start = asyncio.ensure_future(sup.start())
+            await asyncio.sleep(0)  # the replay runs before any shard is up
+            records = [sup.get(doc["id"]) for doc in live]
+            assert [r.status for r in records] == ["queued"] * 3
+            await clock.run(start)
+            await clock.until(lambda: all_done(records))
+            await clock.run(sup.drain())
+            return records
+
+        records = asyncio.run(scenario())
+        for record, doc in zip(records, live):
+            assert (record.trace_id, record.submitted_at) == (
+                doc["trace_id"], doc["submitted_at"]
+            )
+            assert record.spec == JobSpec.from_dict(doc["spec"])
+            assert record.shard == sup.ring.assign(record.spec.spec_key())
+        posts = shards.requests("POST", "/jobs")
+        assert sorted((r.port, r.headers["X-Trace-Id"]) for r in posts) == (
+            sorted((9000 + r.shard, r.trace_id) for r in records)
+        )
+        assert sup.get("job-1") is None
+        assert sup.replayed_jobs == 3
+        assert [
+            (e["job_id"], e["shard"], e["phase"])
+            for e in oplog_events(log, "journal_replay")
+        ] == [(r.id, r.shard, "cold_start") for r in records]
+        fleet_doc = sup.metrics()["fleet"]
+        assert fleet_doc["journal_live"] == 0
+        assert fleet_doc["journal_torn_lines"] == 1
+        assert os.path.getsize(sup.journal.path) == 0
+
+    def test_an_entry_that_can_never_run_is_retired(
+        self, fake_fleet, clock, tmp_path
+    ):
+        # Routers that admitted θ = 0 journaled it; no router can build
+        # it now.  It is skipped once and retired, so the journal drains
+        # instead of skipping it again on every restart.
+        (tmp_path / "fleet").mkdir()
+        write_per_shard_journal(
+            tmp_path / "fleet" / "shard-0.journal.jsonl", shard=0,
+            live=[journaled("never", 0, thetas=[0, 20, 20, 20])],
+        )
+        log = io.StringIO()
+        sup, _ = fake_fleet(oplog=OpLogger(stream=log, component="fleet"))
+
+        async def scenario():
+            await clock.run(sup.start())
+            await clock.run(sup.drain())
+
+        asyncio.run(scenario())
+        assert sup.metrics()["fleet"]["journal_live"] == 0
+        (skip,) = oplog_events(log, "journal_skip")
+        assert skip["job_id"] == "never" and "shard" not in skip
+        assert sup.replayed_jobs == 0 and sup.get("never") is None
+        assert os.path.getsize(sup.journal.path) == 0
+
+    def test_per_shard_journals_are_folded_into_the_journal(
+        self, fake_fleet, clock, tmp_path
+    ):
+        # A fleet dir written by a router that kept one journal per
+        # shard: its live job still runs, and the old file is gone.
+        (tmp_path / "fleet").mkdir()
+        per_shard = tmp_path / "fleet" / "shard-1.journal.jsonl"
+        write_per_shard_journal(
+            per_shard, shard=1,
+            live=[journaled("kept", 0)], retired=[journaled("done", 1)],
+        )
+        sup, _ = fake_fleet(shards=2)
+
+        async def scenario():
+            await clock.run(sup.start())
+            assert not per_shard.exists()
+            record = sup.get("kept")
+            await clock.until(lambda: record.status == "done")
+            await clock.run(sup.drain())
+            return record
+
+        record = asyncio.run(scenario())
+        assert record.trace_id == "trace-kept"
+        assert sup.get("done") is None
+        assert sup.replayed_jobs == 1
+        assert sup.journal.live_count == 0
+        assert os.path.getsize(sup.journal.path) == 0
 
 
 class TestFleetMonotonicDurations:
@@ -1129,14 +1312,13 @@ class TestFleetMonotonicDurations:
         wall = SteppedTime()
         monkeypatch.setattr(fleet_mod, "time", wall)
         oplog_path = tmp_path / "fleet.oplog.jsonl"
-        sup, _ = fake_fleet(
-            oplog=OpLogger(path=str(oplog_path), component="fleet"),
-        )
-        sup.shards[0].state = "up"
-        (record,) = asyncio.run(sup.submit(fleet_specs(1)))
-        asyncio.run(clock.advance(2.5))
-        wall.offset = 3600.0  # NTP steps +1h while the job is queued
-        sup._finish(record, result={"final_cycle": 1})
+        with OpLogger(path=str(oplog_path), component="fleet") as oplog:
+            sup, _ = fake_fleet(oplog=oplog)
+            sup.shards[0].state = "up"
+            (record,) = asyncio.run(sup.submit(fleet_specs(1)))
+            asyncio.run(clock.advance(2.5))
+            wall.offset = 3600.0  # NTP steps +1h while the job is queued
+            sup._finish(record, result={"final_cycle": 1})
         assert record.status == "done"
         assert sup.healthz()["pending"] == 0
         retires = [

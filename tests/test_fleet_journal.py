@@ -1,23 +1,24 @@
 """Tests for the write-ahead intake journal (repro.serve.fleet).
 
 The journal is the fleet's durability story: an accepted 202 must
-survive shard crashes, supervisor crashes and torn writes.  Unit tests
-drive :class:`WriteAheadJournal` directly; the integration test
-SIGKILLs a real shard with journaled work outstanding and requires the
-replacement fleet state to replay it.  Every journal file the fleet
+survive shard crashes, router crashes and torn writes.  These tests
+drive :class:`WriteAheadJournal` directly: round trips, recovery,
+truncation and torn-line tolerance.  Every journal file the router
 writes must validate against the registered schema
 (``repro.serve/intake_journal/1``) through the stock validator CLI.
+The router's use of the journal — replay on cold start, a SIGKILLed
+shard losing nothing — is tested in ``tests/test_fleet.py``.
 """
 
+import errno
 import json
 import os
-import signal
 import subprocess
 import sys
-import time
+
+import pytest
 
 from repro.obs.schema import INTAKE_JOURNAL_SCHEMA, validate_document
-from repro.serve import FleetThread, ServeClient
 from repro.serve.fleet import WriteAheadJournal
 
 TINY = dict(benchmark="fft", thetas=[60, 20, 20, 20], scale=0.05, seed=0)
@@ -35,18 +36,57 @@ def job_doc(job_id, spec=None):
 class TestJournalRoundTrip:
     def test_admit_then_retire_leaves_nothing_live(self, tmp_path):
         journal = WriteAheadJournal(str(tmp_path / "shard.jsonl"))
-        journal.admit(job_doc("a"), shard=0)
-        journal.admit(job_doc("b"), shard=0)
+        journal.admit([job_doc("a")])
+        journal.admit([job_doc("b")])
         assert journal.live_count == 2
         assert journal.retire("a")
         assert journal.retire("b")
         assert journal.live_count == 0
         journal.close()
 
+    def test_one_admit_fsyncs_a_whole_submission_once(
+        self, tmp_path, monkeypatch
+    ):
+        journal = WriteAheadJournal(str(tmp_path / "intake.jsonl"))
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))
+        )
+        journal.admit([job_doc("a"), job_doc("b"), job_doc("c")])
+        assert len(fsyncs) == 1
+        assert [doc["id"] for doc in journal.live_jobs()] == ["a", "b", "c"]
+        assert journal.admits == 3
+        journal.close()
+
+    def test_failed_admit_leaves_no_job_of_it_live(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "intake.jsonl"
+        journal = WriteAheadJournal(str(path))
+        journal.admit([job_doc("a")])
+        size = path.stat().st_size
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with pytest.raises(OSError):
+            journal.admit([job_doc("b"), job_doc("c")])
+        assert [doc["id"] for doc in journal.live_jobs()] == ["a"]
+        assert journal.admits == 1
+        # The refused lines are cut off; the accepted one stays.
+        assert path.stat().st_size == size
+        monkeypatch.undo()
+        journal.admit([job_doc("d")])
+        journal.close()
+        recovered = WriteAheadJournal(str(path))
+        assert [doc["id"] for doc in recovered.live_jobs()] == ["a", "d"]
+
     def test_truncates_file_when_drained(self, tmp_path):
         path = tmp_path / "shard.jsonl"
         journal = WriteAheadJournal(str(path))
-        journal.admit(job_doc("a"), shard=0)
+        journal.admit([job_doc("a")])
         assert path.stat().st_size > 0
         journal.retire("a")
         assert path.stat().st_size == 0
@@ -63,8 +103,8 @@ class TestJournalRoundTrip:
         """A fresh instance over the same file sees identical state."""
         path = str(tmp_path / "shard.jsonl")
         first = WriteAheadJournal(path)
-        first.admit(job_doc("a"), shard=1)
-        first.admit(job_doc("b", dict(TINY, seed=7)), shard=1)
+        first.admit([job_doc("a")])
+        first.admit([job_doc("b", dict(TINY, seed=7))])
         first.retire("a")
         first.close()
 
@@ -79,15 +119,13 @@ class TestJournalRoundTrip:
     def test_recovered_journal_continues_the_sequence(self, tmp_path):
         path = str(tmp_path / "shard.jsonl")
         first = WriteAheadJournal(path)
-        first.admit(job_doc("a"), shard=0)
+        first.admit([job_doc("a")])
         first.close()
         second = WriteAheadJournal(path)
-        second.admit(job_doc("b"), shard=0)
+        second.admit([job_doc("b")])
         second.close()
-        seqs = [
-            json.loads(line)["seq"]
-            for line in open(path)
-        ]
+        with open(path) as fh:
+            seqs = [json.loads(line)["seq"] for line in fh]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
 
@@ -96,8 +134,8 @@ class TestJournalTornLines:
     def test_torn_trailing_line_is_dropped_not_fatal(self, tmp_path):
         path = str(tmp_path / "shard.jsonl")
         journal = WriteAheadJournal(path)
-        journal.admit(job_doc("a"), shard=0)
-        journal.admit(job_doc("b"), shard=0)
+        journal.admit([job_doc("a")])
+        journal.admit([job_doc("b")])
         journal.close()
         # Simulate a crash mid-append: the final line is cut short.
         with open(path) as fh:
@@ -129,21 +167,22 @@ class TestJournalSchema:
     def test_every_record_validates_against_the_registry(self, tmp_path):
         path = str(tmp_path / "shard.jsonl")
         journal = WriteAheadJournal(path)
-        journal.admit(job_doc("a"), shard=2)
-        journal.admit(job_doc("b"), shard=2)
+        journal.admit([job_doc("a")])
+        journal.admit([job_doc("b")])
         journal.retire("a")
         journal.close()
         with open(path) as fh:
             for line in fh:
                 record = json.loads(line)
                 assert record["schema"] == INTAKE_JOURNAL_SCHEMA
+                assert "shard" not in record
                 assert validate_document(record) == []
 
     def test_validator_cli_accepts_a_real_journal(self, tmp_path):
         """``python -m repro.obs.validate`` passes a journal file."""
         path = str(tmp_path / "shard.jsonl")
         journal = WriteAheadJournal(path)
-        journal.admit(job_doc("a"), shard=0)
+        journal.admit([job_doc("a")])
         journal.close()
         result = subprocess.run(
             [sys.executable, "-m", "repro.obs.validate", path],
@@ -165,55 +204,3 @@ class TestJournalSchema:
         }
         assert validate_document(bad)
 
-
-class TestJournalReplayIntegration:
-    def test_sigkill_with_live_journal_replays_every_job(self, tmp_path):
-        """Kill a shard holding journaled work; nothing may be lost."""
-        fleet = FleetThread(
-            shards=2,
-            fleet_dir=str(tmp_path / "state"),
-            cache_dir=str(tmp_path / "cache"),
-            heartbeat_deadline=1.5,
-        )
-        fleet.start()
-        try:
-            client = ServeClient(fleet.base_url, connect_retries=5)
-            specs = [
-                dict(TINY, thetas=[60 + 10 * i, 20, 20, 20])
-                for i in range(6)
-            ]
-            accepted = client.submit(specs)
-            ids = [doc["id"] for doc in accepted]
-            # The journals hold every accepted job until it retires.
-            supervisor = fleet.supervisor
-            journal_live = sum(
-                shard.journal.live_count for shard in supervisor.shards
-            )
-            assert journal_live == len(specs)
-            victim = supervisor.shards[0]
-            victim_live = [
-                doc["id"] for doc in victim.journal.live_jobs()
-            ]
-            os.kill(victim.pid, signal.SIGKILL)
-            records = client.wait(ids, timeout=300)
-            assert all(
-                records[job_id]["status"] == "done" for job_id in ids
-            )
-            # The killed shard's journaled jobs were replayed, and every
-            # journal drained once the work retired.
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if all(
-                    shard.journal.live_count == 0
-                    for shard in supervisor.shards
-                ):
-                    break
-                time.sleep(0.2)
-            assert all(
-                shard.journal.live_count == 0
-                for shard in supervisor.shards
-            )
-            if victim_live:
-                assert supervisor.replayed_jobs >= len(victim_live)
-        finally:
-            fleet.stop()

@@ -114,6 +114,7 @@ class TestLoadGenerator429Accounting:
             elapsed = time.monotonic() - t0
         finally:
             server.shutdown()
+            server.server_close()
         assert report.offered > 0
         assert report.rejected_429 == report.offered
         assert report.accepted == report.completed == 0
@@ -178,6 +179,7 @@ class TestLoadGeneratorCompletion:
             report = gen.run()
         finally:
             server.shutdown()
+            server.server_close()
         assert report.offered > 0
         assert report.accepted == report.offered
         assert report.completed == report.accepted

@@ -733,6 +733,7 @@ class TestWaitDeadline:
             elapsed = _time.monotonic() - start
         finally:
             server.shutdown()
+            server.server_close()
         assert "still pending" in str(excinfo.value)
         assert elapsed < 1.0, (
             f"wait overran its 0.4s deadline by {elapsed - 0.4:.2f}s — "
@@ -773,11 +774,10 @@ class TestMonotonicDurations:
         monkeypatch.setattr(service_mod, "time", clock)
         oplog_path = tmp_path / "serve.oplog.jsonl"
 
-        async def scenario():
+        async def scenario(oplog):
             service = BatchingService(
                 SweepRunner(jobs=1, cache_dir=None),
-                max_batch=4, queue_limit=8,
-                oplog=OpLogger(path=str(oplog_path), component="serve"),
+                max_batch=4, queue_limit=8, oplog=oplog,
             )
             records = service.submit([tiny_spec()])
             clock.offset = 3600.0  # the NTP step lands mid-queue
@@ -787,7 +787,8 @@ class TestMonotonicDurations:
             await service.drain()
             return service, records
 
-        service, records = asyncio.run(scenario())
+        with OpLogger(path=str(oplog_path), component="serve") as oplog:
+            service, records = asyncio.run(scenario(oplog))
         assert records[0].status == "done"
         assert service._queue_wait_ms.max < 60_000
         assert service.metrics()["service"]["queue_wait_ms_p95"] < 60_000
