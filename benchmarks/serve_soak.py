@@ -240,7 +240,7 @@ def measure(out_dir):
             "final_snapshot_written": snapshot_written,
             "trace_propagation_ok": trace_propagation_ok,
         },
-        engine="lockstep",
+        engine=after["runner"]["engine"],
         artifact_paths=artifacts,
         environment={"port": client.port, "jobs": 2},
     )

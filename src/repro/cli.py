@@ -109,7 +109,7 @@ def _runner_metrics(runner) -> dict:
     """The sweep-runner telemetry scalars a gate can assert over."""
     tele = runner.telemetry()
     keys = ("cache_hits", "cache_misses", "cache_hit_rate", "jobs_executed",
-            "exec_seconds", "lockstep_groups", "lockstep_jobs",
+            "exec_seconds", "lockstep_groups", "lockstep_jobs", "fast_jobs",
             "worker_failures", "job_timeouts")
     return {f"runner_{key}": tele[key] for key in keys}
 
@@ -146,9 +146,8 @@ def _add_common(
         parser.add_argument("-j", "--jobs", type=_positive_int, default=1,
                             help="worker processes (1 = serial) for "
                                  "optimize's analytic GA fitness and for "
-                                 "sweep jobs that reach the process pool; "
-                                 "jobs sharing one trace set run in-process "
-                                 "on the lock-step engine")
+                                 "the sweep runner's pool, which runs "
+                                 "lock-step shares and fast-path jobs")
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -201,7 +200,7 @@ def cmd_fig5(args: argparse.Namespace) -> int:
         _emit_manifest(
             args.manifest_out, "fig5", f"{args.config}",
             metrics={**ratios, **_runner_metrics(runner)},
-            engine="lockstep", seed=args.seed,
+            engine=runner.telemetry()["engine"], seed=args.seed,
             artifact_paths=[p for p in (args.metrics_out,) if p],
             environment={"benchmarks": list(args.benchmarks),
                          "scale": args.scale},
@@ -233,7 +232,7 @@ def cmd_fig6(args: argparse.Namespace) -> int:
         _emit_manifest(
             args.manifest_out, "fig6", f"{args.config}",
             metrics={**slowdowns, **_runner_metrics(runner)},
-            engine="lockstep", seed=args.seed,
+            engine=runner.telemetry()["engine"], seed=args.seed,
             artifact_paths=[p for p in (args.metrics_out,) if p],
             environment={"benchmarks": list(args.benchmarks),
                          "scale": args.scale},
@@ -435,7 +434,8 @@ def _optimize_sim_fitness(args, config, traces, profiles, ga_log) -> int:
     tele = fit.telemetry()
     print(f"{tele['jobs_executed']} simulations "
           f"({tele['lockstep_jobs']} in {tele['lockstep_groups']} lock-step "
-          f"groups), {tele['cache_hits']} memoized")
+          f"groups, {tele['fast_jobs']} on the fast path), "
+          f"{tele['cache_hits']} memoized")
     rows = [
         [f"c{b.core_id}", b.m_hit, b.m_miss, b.wcl, b.wcml]
         for b in evaluation.bounds
@@ -455,8 +455,9 @@ def _optimize_sim_fitness(args, config, traces, profiles, ga_log) -> int:
                 "sim_cache_hits": tele["cache_hits"],
                 "lockstep_groups": tele["lockstep_groups"],
                 "lockstep_jobs": tele["lockstep_jobs"],
+                "fast_jobs": tele["fast_jobs"],
             },
-            engine="lockstep", seed=args.seed,
+            engine=tele["engine"], seed=args.seed,
             artifact_paths=[p for p in (args.metrics_out,) if p],
         )
     return 0
@@ -1135,9 +1136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8765,
                    help="TCP port (0 = ephemeral; the bound port is printed)")
     p.add_argument("-j", "--jobs", type=_positive_int, default=1,
-                   help="worker processes of the sweep runner's pool; jobs "
-                        "sharing one trace set run in-process on the "
-                        "lock-step engine instead")
+                   help="worker processes of the sweep runner's pool "
+                        "(1 = every job runs in this process)")
     p.add_argument("--max-batch", type=_positive_int, default=8,
                    help="largest batch dispatched to the runner; a batch "
                         "is whatever is queued when the runner is free")
@@ -1154,9 +1154,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "a cross-process lock) to stay within it "
                         "(default: 0 = unbounded)")
     p.add_argument("--job-timeout", type=float, default=None,
-                   help="per-job wall-clock timeout in seconds; enforced "
-                        "only on jobs that reach the process pool (see "
-                        "--jobs), never on jobs run in-process")
+                   help="per-simulation wall-clock timeout in seconds, "
+                        "lock-step or fast path; enforced only in the "
+                        "worker pool (--jobs above 1), never on a batch "
+                        "run in-process")
     p.add_argument("--metrics-out", default=None,
                    help="write a final /metrics snapshot here on drain "
                         "(atomic tmp-file + rename)")
@@ -1206,8 +1207,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-shard view of the shared cache's size "
                         "budget; see `cohort serve --cache-budget`")
     p.add_argument("--job-timeout", type=float, default=None,
-                   help="per-job timeout passed to every shard; see "
-                        "`cohort serve --job-timeout` (it never fires "
+                   help="per-simulation timeout passed to every shard; "
+                        "see `cohort serve --job-timeout` (it never fires "
                         "with the default --jobs 1)")
     p.add_argument("--heartbeat-deadline", type=float, default=3.0,
                    help="seconds without a healthy /healthz answer "

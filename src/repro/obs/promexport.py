@@ -68,6 +68,7 @@ RUNNER_COUNTERS = (
     ("cache_quarantined", "Corrupt cache envelopes moved to quarantine."),
     ("lockstep_groups", "Same-trace groups run in lock-step."),
     ("lockstep_jobs", "Jobs served by lock-step batches."),
+    ("fast_jobs", "Jobs run on the per-event fast path."),
     ("lockstep_peeled", "Jobs peeled to the per-event path."),
     ("trace_decode_hits", "Trace decode-cache hits."),
     ("trace_decode_misses", "Trace decode-cache misses."),

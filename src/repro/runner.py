@@ -2,9 +2,9 @@
 
 The paper's figures are sweeps of *independent* simulations: the same
 trace set replayed under many ``(protocol, θ-vector)`` configurations.
-:class:`SweepRunner` executes such batches through a
-``ProcessPoolExecutor`` (``jobs > 1``) and memoizes every result in an
-on-disk cache keyed by a content hash of the full simulation input —
+:class:`SweepRunner` picks each simulation's engine, executes a
+batch on a long-lived ``ProcessPoolExecutor`` (``jobs > 1``) and
+memoizes every result in an on-disk cache keyed by a content hash of the full simulation input —
 the serialised :class:`~repro.params.SimConfig` (including
 ``check_coherence`` and ``max_cycles``, which ``config_to_dict`` omits)
 plus the raw bytes of every trace array.  Re-running an experiment with
@@ -27,9 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import tempfile
+import threading
 import time
 import uuid
 
@@ -37,16 +39,18 @@ try:  # POSIX-only advisory locking; the cache degrades gracefully without.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.params import SimConfig, config_from_dict, config_to_dict
+from repro.params import CacheGeometry, SimConfig, config_to_dict
 from repro.sim.lockstep import LockstepSystem, lockstep_unsupported_reason
+from repro.sim.protocols import available_protocols, get_protocol
 from repro.sim.stats import STATS_SCHEMA_VERSION, SystemStats
 from repro.sim.system import run_simulation
-from repro.sim.trace import Trace, decode_stats
+from repro.sim.trace import Trace, decode_stats, decode_trace
 
 #: Bump when the result schema or the simulation semantics change in a
 #: way that invalidates previously cached results.  The *stats* schema
@@ -68,18 +72,27 @@ QUARANTINE_DIR = ".quarantine"
 #: stores are already atomic ``os.replace`` writes.
 CACHE_LOCK_FILE = ".lock"
 
+#: A same-trace group of two or more jobs runs on the lock-step engine
+#: only when its predicted miss rate (:func:`predicted_miss_rate`) is
+#: below this.  Lock-step amortises runs of hits but adds bookkeeping to
+#: every miss: on a 2-core host it won every case below 1% predicted
+#: and lost every case at 6% and above; in between, the outcome
+#: depended on the trace family (the table in docs/performance.md).
+LOCKSTEP_MISS_RATE = 0.01
+
 
 class JobTimeoutError(RuntimeError):
-    """A sweep job exceeded the runner's per-job ``timeout``.
+    """A sweep simulation exceeded the runner's per-simulation ``timeout``.
 
     Raised *inside* the worker (via ``SIGALRM``) so the process pool
-    stays alive; the runner retries the job up to ``max_retries`` times
-    before giving up with :class:`SweepExecutionError`.
+    stays alive; the runner retries the simulation's unit up to
+    ``max_retries`` times before giving up with
+    :class:`SweepExecutionError`.
     """
 
 
 class SweepExecutionError(RuntimeError):
-    """A sweep job could not be completed within the retry budget."""
+    """A sweep unit could not be completed within the retry budget."""
 
 
 def stats_to_dict(stats: SystemStats) -> dict:
@@ -147,60 +160,203 @@ class SweepJob:
         return h.hexdigest()
 
 
-def _execute(payload: tuple) -> dict:
-    """Worker entry point: rebuild the job from primitives and simulate.
+@dataclass
+class _Unit:
+    """One piece of work: an inline loop step or one pool future.
 
-    Takes plain lists/dicts rather than live objects so the pickled task
-    stays small and version-independent.
+    Every slot of a unit replays the same trace set on the same engine.
+    ``miss_rate`` is the prediction that chose the engine of the unit's
+    same-trace group (None for a job that belongs to no group).
     """
-    cfg_dict, check, max_cycles, record, raw_traces = payload
-    from dataclasses import replace
 
-    config = replace(
-        config_from_dict(cfg_dict),
-        check_coherence=check,
-        max_cycles=max_cycles,
-    )
-    traces = [Trace.from_arrays(g, o, a) for g, o, a in raw_traces]
-    stats = run_simulation(config, traces, record_latencies=record)
+    engine: str
+    slots: List[int]
+    miss_rate: Optional[float] = None
+
+    def payload(self, jobs: Sequence[SweepJob]) -> tuple:
+        """The picklable unit: its traces once, then one config per slot."""
+        first = jobs[self.slots[0]]
+        return (
+            self.engine,
+            first.traces,
+            [jobs[i].config for i in self.slots],
+            first.record_latencies,
+        )
+
+
+def predicted_miss_rate(
+    traces: Sequence[Trace], l1: CacheGeometry
+) -> float:
+    """In-isolation direct-mapped miss rate of ``traces``, access-weighted.
+
+    The routing predictor: it reads the input alone, ranks traces as
+    their simulated miss rates do, and costs one cached vectorised pass
+    per trace (:meth:`~repro.sim.trace.DecodedTrace.isolation_misses`).
+    """
+    decoded = [decode_trace(t, l1.line_bytes) for t in traces]
+    accesses = sum(d.n for d in decoded)
+    if not accesses:
+        return 0.0
+    return sum(d.isolation_misses(l1.num_sets) for d in decoded) / accesses
+
+
+def _simulate(
+    engine: str, config: SimConfig, traces: Sequence[Trace], record: bool
+) -> dict:
+    """One simulation on ``engine``, as a result dict."""
+    if engine == "lockstep":
+        stats = LockstepSystem(config, traces, record_latencies=record).run()
+    else:
+        stats = run_simulation(config, traces, record_latencies=record)
     return stats_to_dict(stats)
 
 
-def _execute_payload(payload: tuple, timeout: Optional[float]) -> dict:
-    """Worker entry point with an in-worker watchdog.
+@contextmanager
+def _alarm(timeout: Optional[float]) -> Iterator[None]:
+    """Raise :class:`JobTimeoutError` if the block outlives ``timeout``.
 
-    The per-job timeout is enforced *inside* the worker with a real-time
-    interval timer (``SIGALRM``): a stuck job raises
-    :class:`JobTimeoutError` back through its future, leaving the worker
-    process — and therefore the whole pool — healthy.  On platforms
-    without ``SIGALRM`` the timeout is a no-op.
+    A real-time interval timer (``SIGALRM``), so a stuck simulation
+    raises through its future and leaves the worker process — and the
+    whole pool — healthy.  A no-op without a timeout or without
+    ``SIGALRM``.
     """
     if not timeout or not hasattr(signal, "SIGALRM"):
-        return _execute(payload)
+        yield
+        return
 
-    def _alarm(signum: int, frame: object) -> None:
+    def _expired(signum: int, frame: object) -> None:
         raise JobTimeoutError(f"sweep job exceeded timeout of {timeout}s")
 
-    previous = signal.signal(signal.SIGALRM, _alarm)
+    previous = signal.signal(signal.SIGALRM, _expired)
     signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        return _execute(payload)
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 
 
-def _job_payload(job: SweepJob) -> tuple:
-    return (
-        config_to_dict(job.config),
-        job.config.check_coherence,
-        job.config.max_cycles,
-        job.record_latencies,
-        [
-            (t.gaps.tolist(), t.ops.tolist(), t.addrs.tolist())
-            for t in job.traces
-        ],
-    )
+def _run_unit(payload: tuple, timeout: Optional[float]) -> List[dict]:
+    """Worker entry: simulate each config of one unit over its traces.
+
+    The traces arrive once per unit, as numpy arrays with their content
+    digest, so a worker rebuilds them once however many configs the
+    unit holds.  ``timeout`` bounds each simulation: the alarm is
+    re-armed for every config of a lock-step share.
+    """
+    engine, traces, configs, record = payload
+    results = []
+    for config in configs:
+        with _alarm(timeout):
+            results.append(_simulate(engine, config, traces, record))
+    return results
+
+
+# -- the worker pool -----------------------------------------------------------
+
+#: This process's worker pool as ``(key, pool)``, created on first use
+#: and kept until a worker dies, a batch aborts or a batch needs another
+#: key, so a sweep pays no fork.  The key is ``(pid, workers, start
+#: method, protocol registry)``: the pid keeps a forked child off its
+#: parent's pool, and the registry is the one the workers started with.
+#: A serve shard calls ``run`` from an executor thread, hence the lock.
+_POOL: Optional[Tuple[tuple, ProcessPoolExecutor]] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the pool's owner dies.
+
+    An idle worker blocks on its task pipe, which an owner killed by
+    ``SIGKILL`` never closes, so without this watch it would outlive
+    the owner for good.  The owner's death makes the sentinel of
+    :func:`multiprocessing.parent_process` ready under every start
+    method.  Under ``forkserver`` the worker's parent process is the
+    fork server, which lives as long as the workers do, so only the
+    sentinel tells.  Under ``fork`` every process the owner forks later
+    (the next worker, say) holds the sentinel's pipe open too, so a
+    change of parent pid, which is the owner there, also counts.
+    """
+    parent = os.getppid()
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        while os.getppid() == parent and not multiprocessing.connection.wait(
+            [sentinel], timeout=1.0
+        ):
+            pass
+        os._exit(0)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _pool(workers: int, mp_context: Optional[str]) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` workers, created on demand.
+
+    A worker keeps the module state of the moment it started, so it
+    would not know a protocol registered after that: a changed protocol
+    registry, like another size or start method, replaces the pool.
+    """
+    global _POOL
+    registry = tuple((n, get_protocol(n)) for n in available_protocols())
+    key = (os.getpid(), workers, mp_context, registry)
+    with _POOL_LOCK:
+        old = _POOL
+        if old is not None and old[0] == key:
+            return old[1]
+        ctx = multiprocessing.get_context(mp_context) if mp_context else None
+        pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=ctx,
+            initializer=_exit_with_parent,
+        )
+        _POOL = (key, pool)
+    if old is not None and old[0][0] == os.getpid():
+        old[1].shutdown(wait=False)
+    return pool
+
+
+def _discard_pool(pool: ProcessPoolExecutor) -> None:
+    """Stop handing out ``pool``; the next batch starts a fresh one.
+
+    Work already queued on it still runs, so a batch of another thread
+    that shares it is not cut short.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL[1] is pool:
+            _POOL = None
+    pool.shutdown(wait=False)
+
+
+def shutdown_pool() -> None:
+    """Stop this process's worker pool and wait for its workers.
+
+    The next parallel batch starts a fresh pool.  Tests that change
+    module state a worker must see (a monkeypatched ``_simulate``) call
+    this before and after.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        old, _POOL = _POOL, None
+    if old is not None and old[0][0] == os.getpid():
+        old[1].shutdown(wait=True, cancel_futures=True)
+
+
+def _submit(
+    pool: ProcessPoolExecutor, payload: tuple, timeout: Optional[float]
+) -> Future:
+    """Submit one unit; a pool that can take no work fails its future.
+
+    A worker of the long-lived pool may die while idle, or another
+    thread may have discarded the pool: either way the unit is retried
+    on a fresh pool, as if its worker had died under it.
+    """
+    try:
+        return pool.submit(_run_unit, payload, timeout)
+    except RuntimeError as exc:  # BrokenProcessPool, or shut down
+        failed: Future = Future()
+        failed.set_exception(BrokenProcessPool(str(exc)))
+        return failed
 
 
 @dataclass
@@ -208,19 +364,22 @@ class SweepRunner:
     """Runs batches of independent simulations, with caching.
 
     The runner alone picks each job's engine (results are bit-identical
-    on all of them).  An uncached job whose trace set another uncached
-    job of the batch shares runs in-process on the lock-step engine;
-    every other job runs on the per-event fast path, inline when
-    ``jobs == 1``, else on worker processes.  The on-disk cache is
-    shared by all of them and across runs; set ``cache_dir=None`` to
-    disable persistence entirely.
+    on all of them).  It groups a batch's uncached jobs by trace set; a
+    group of two or more whose predicted miss rate is below
+    :data:`LOCKSTEP_MISS_RATE` runs on the lock-step engine, and every
+    other job on the per-event fast path.  With ``jobs > 1`` each
+    lock-step group is split into ``min(jobs, n)`` shares and every
+    share and fast-path job is one future on this process's long-lived
+    worker pool; with ``jobs == 1``, or a single unit of work, all of it
+    runs inline.  The on-disk cache is shared by all of them and across
+    runs; set ``cache_dir=None`` to disable persistence entirely.
 
-    The parallel path is crash-contained: every job is submitted as its
-    own future, a worker death (``BrokenProcessPool``) quarantines and
-    retries only the jobs that were still uncollected — completed
-    results are kept — and a per-job ``timeout`` is enforced inside the
-    worker so a stuck simulation cannot poison the pool.  Retries are
-    bounded (``max_retries`` per job) with exponential backoff
+    The parallel path is crash-contained: a worker death
+    (``BrokenProcessPool``) replaces the pool and retries only the units
+    that were still uncollected — completed results are kept — and a
+    per-simulation ``timeout`` is enforced inside the worker so a stuck
+    simulation cannot poison the pool.  Retries are bounded
+    (``max_retries`` per unit) with exponential backoff
     (``backoff_base * 2**n`` seconds); deterministic simulation errors
     (oracle violations, watchdog limits) are never retried and propagate
     unchanged.
@@ -228,18 +387,19 @@ class SweepRunner:
 
     jobs: int = 1
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR
-    #: Per-job wall-clock timeout in seconds (None = unlimited); enforced
-    #: in-worker via SIGALRM on the parallel path only, so jobs that run
-    #: inline or in a lock-step group are never timed out.
+    #: Per-simulation wall-clock timeout in seconds (None = unlimited);
+    #: enforced in-worker via SIGALRM on the parallel path only, so jobs
+    #: that run inline are never timed out.
     timeout: Optional[float] = None
-    #: How many times one job may be re-run after a timeout or worker
-    #: crash before the batch fails with :class:`SweepExecutionError`.
+    #: How many times one unit (a fast-path job or a lock-step share)
+    #: may be re-run after a timeout or worker crash before the batch
+    #: fails with :class:`SweepExecutionError`.
     max_retries: int = 2
     #: First-retry backoff in seconds; doubles per subsequent failure.
     backoff_base: float = 0.05
     #: Multiprocessing start method for the pool (None = platform
-    #: default).  Tests use "fork" so monkeypatched module state
-    #: propagates into workers.
+    #: default).  Tests use "fork", plus :func:`shutdown_pool`, so
+    #: monkeypatched module state propagates into workers.
     mp_context: Optional[str] = None
     cache_hits: int = 0
     cache_misses: int = 0
@@ -252,9 +412,9 @@ class SweepRunner:
     parallel_batches: int = 0
     #: Pool breakages observed (a worker process died mid-batch).
     worker_failures: int = 0
-    #: Jobs that hit the per-job timeout (including ones later retried).
+    #: Simulations that hit the timeout (including ones later retried).
     job_timeouts: int = 0
-    #: Job resubmissions after a timeout or worker crash.
+    #: Unit resubmissions after a timeout or worker crash.
     job_retries: int = 0
     #: Total seconds slept in retry backoff.
     backoff_seconds: float = 0.0
@@ -281,6 +441,9 @@ class SweepRunner:
     lockstep_groups: int = 0
     #: Jobs served by lock-step batches (subset of ``jobs_executed``).
     lockstep_jobs: int = 0
+    #: Jobs run on the per-event fast path; with ``lockstep_jobs`` it
+    #: sums to ``jobs_executed``.
+    fast_jobs: int = 0
     #: Jobs peeled out of a same-trace group because their configuration
     #: is outside the lock-step engine's support (coherence checking on,
     #: non-standard protocol); they ran on the per-event path instead.
@@ -639,181 +802,172 @@ class SweepRunner:
                 self.cache_misses += 1
                 first_slot[key] = i
                 pending.append(i)
+        if not pending:
+            return results  # type: ignore[return-value]
 
-        def publish(slot: int, result: dict, engine: str) -> None:
-            # Normalise through JSON so fresh and cached results are
-            # indistinguishable (e.g. tuples become lists).
-            result = json.loads(json.dumps(result))
-            self._cache_store(keys[slot], result)
-            results[slot] = result
-            self._op_emit(
-                "execute", op_context, slot,
-                digest=keys[slot], engine=engine,
+        units, group_sizes = self._plan(jobs, pending)
+        payloads = [unit.payload(jobs) for unit in units]
+        started = time.perf_counter()
+        if self.jobs == 1 or len(units) == 1:
+            fresh = [_run_unit(payload, None) for payload in payloads]
+        else:
+            fresh = self._run_parallel(payloads)
+        self.exec_seconds += time.perf_counter() - started
+        self.jobs_executed += len(pending)
+        for size in group_sizes:
+            self.lockstep_groups += 1
+            self.lockstep_jobs += size
+            self._lockstep_group_sizes[size] = (
+                self._lockstep_group_sizes.get(size, 0) + 1
             )
-            for dup in duplicates.get(keys[slot], ()):
-                results[dup] = result
-
-        pending = self._run_lockstep_groups(jobs, pending, publish)
-        if pending:
-            # Lock-step leftovers (singletons, unsupported configs) run
-            # on the fast per-event path.
-            payloads = [_job_payload(jobs[i]) for i in pending]
-            started = time.perf_counter()
-            if self.jobs == 1 or len(pending) == 1:
-                fresh = [_execute(p) for p in payloads]
-            else:
-                fresh = self._run_parallel(payloads)
-            self.exec_seconds += time.perf_counter() - started
-            self.jobs_executed += len(pending)
-            for i, result in zip(pending, fresh):
-                publish(i, result, "fast")
+        self.fast_jobs += len(pending) - sum(group_sizes)
+        for unit, unit_results in zip(units, fresh):
+            for slot, result in zip(unit.slots, unit_results):
+                # Normalise through JSON so fresh and cached results are
+                # indistinguishable (e.g. tuples become lists).
+                result = json.loads(json.dumps(result))
+                self._cache_store(keys[slot], result)
+                results[slot] = result
+                self._op_emit(
+                    "execute", op_context, slot, digest=keys[slot],
+                    engine=unit.engine, miss_rate=unit.miss_rate,
+                )
+                for dup in duplicates.get(keys[slot], ()):
+                    results[dup] = result
         return results  # type: ignore[return-value]
 
-    def _run_lockstep_groups(
-        self,
-        jobs: Sequence[SweepJob],
-        pending: List[int],
-        publish,
-    ) -> List[int]:
-        """Execute same-trace groups of ``pending`` jobs in lock-step.
+    def _plan(
+        self, jobs: Sequence[SweepJob], pending: List[int]
+    ) -> Tuple[List[_Unit], List[int]]:
+        """Split the uncached ``pending`` slots into units of work.
 
-        Groups the uncached jobs by trace content (plus the
-        ``record_latencies`` flag, which changes the result shape) and
-        runs every member of a group of two or more supported
-        configurations, one config at a time, on its own
-        :class:`~repro.sim.lockstep.LockstepSystem`.  The trace decode
-        comes from the process-wide decode cache that every engine
-        reads; the results are bit-identical to the per-event path.
-        Returns the leftover job slots (singleton groups and unsupported
-        configs) for the normal execution path.
+        Groups the jobs by trace content (plus the ``record_latencies``
+        flag, which changes the result shape) after peeling the configs
+        the lock-step engine does not support.  A group of two or more
+        whose predicted miss rate is below :data:`LOCKSTEP_MISS_RATE`
+        becomes ``min(jobs, n)`` lock-step shares; every other job is a
+        fast-path unit of its own.  Returns the units and the size of
+        each lock-step group.
         """
         groups: Dict[Tuple[Tuple[str, ...], bool], List[int]] = {}
-        leftover: List[int] = []
+        singles: List[int] = []
         for i in pending:
             job = jobs[i]
             if lockstep_unsupported_reason(job.config) is not None:
                 self.lockstep_peeled += 1
-                leftover.append(i)
+                singles.append(i)
                 continue
             key = (
                 tuple(t.content_digest() for t in job.traces),
                 job.record_latencies,
             )
             groups.setdefault(key, []).append(i)
-        for key, slots in groups.items():
+        units: List[_Unit] = []
+        group_sizes: List[int] = []
+        for slots in groups.values():
             if len(slots) < 2:
-                leftover.extend(slots)
+                singles.extend(slots)
                 continue
-            started = time.perf_counter()
-            batch = [
-                LockstepSystem(
-                    jobs[i].config, jobs[i].traces, record_latencies=key[1]
-                ).run()
-                for i in slots
-            ]
-            self.exec_seconds += time.perf_counter() - started
-            self.jobs_executed += len(slots)
-            self.lockstep_groups += 1
-            self.lockstep_jobs += len(slots)
-            size = len(slots)
-            self._lockstep_group_sizes[size] = (
-                self._lockstep_group_sizes.get(size, 0) + 1
+            first = jobs[slots[0]]
+            rate = predicted_miss_rate(first.traces, first.config.l1)
+            if rate >= LOCKSTEP_MISS_RATE:
+                units.extend(_Unit("fast", [i], rate) for i in slots)
+                continue
+            group_sizes.append(len(slots))
+            shares = min(self.jobs, len(slots))
+            units.extend(
+                _Unit("lockstep", slots[k::shares], rate)
+                for k in range(shares)
             )
-            for i, stats in zip(slots, batch):
-                publish(i, stats_to_dict(stats), "lockstep")
-        leftover.sort()
-        return leftover
+        units.extend(_Unit("fast", [i]) for i in sorted(singles))
+        return units, group_sizes
 
     # -- crash-contained parallel execution ----------------------------------
 
-    def _make_pool(self, workers: int) -> ProcessPoolExecutor:
-        ctx = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context
-            else None
-        )
-        return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-
     def _backoff(self, attempt: int) -> None:
-        """Sleep the exponential backoff for a job's ``attempt``-th retry."""
+        """Sleep the exponential backoff for a unit's ``attempt``-th retry."""
         delay = self.backoff_base * (2 ** (attempt - 1))
         if delay > 0:
             time.sleep(delay)
             self.backoff_seconds += delay
 
-    def _retry_or_fail(self, slot: int, attempts: List[int], cause: str) -> None:
-        """Account one failed execution of ``slot``; raise when exhausted."""
-        attempts[slot] += 1
+    def _retry_or_fail(self, unit: int, attempts: List[int], cause: str) -> None:
+        """Account one failed execution of ``unit``; raise when exhausted."""
+        attempts[unit] += 1
         if self.oplog is not None:
             self.oplog.emit(
-                "worker_quarantine", component="runner", slot=slot,
-                attempt=attempts[slot], reason=cause,
-                exhausted=attempts[slot] > self.max_retries,
+                "worker_quarantine", component="runner", slot=unit,
+                attempt=attempts[unit], reason=cause,
+                exhausted=attempts[unit] > self.max_retries,
             )
-        if attempts[slot] > self.max_retries:
+        if attempts[unit] > self.max_retries:
             raise SweepExecutionError(
-                f"sweep job {slot} failed {attempts[slot]} times "
+                f"sweep unit {unit} failed {attempts[unit]} times "
                 f"(last cause: {cause}); giving up after "
                 f"max_retries={self.max_retries}"
             )
         self.job_retries += 1
 
-    def _run_parallel(self, payloads: List[tuple]) -> List[dict]:
-        """Execute payloads on a process pool, one future per job.
+    def _run_parallel(self, payloads: List[tuple]) -> List[List[dict]]:
+        """Execute unit payloads on the worker pool, one future per unit.
 
         A worker crash breaks the whole ``ProcessPoolExecutor`` — every
         uncollected future raises ``BrokenProcessPool``.  Containment
-        works by keeping the results already collected, recreating the
-        pool, and resubmitting only the uncollected jobs with their
+        works by keeping the results already collected, replacing the
+        pool, and resubmitting only the uncollected units with their
         retry counters bumped: innocents complete on the fresh pool,
-        while a job that deterministically kills its worker exhausts
+        while a unit that deterministically kills its worker exhausts
         ``max_retries`` and fails the batch with a pointed error.
-        Deterministic simulation exceptions propagate immediately.
+        Deterministic simulation exceptions propagate immediately; a
+        batch that aborts replaces the pool too, so units it leaves
+        running never delay the next batch.
         """
         self.parallel_batches += 1
-        workers = min(self.jobs, len(payloads))
-        results: List[Optional[dict]] = [None] * len(payloads)
+        results: List[Optional[List[dict]]] = [None] * len(payloads)
         attempts = [0] * len(payloads)
         todo = list(range(len(payloads)))
-        pool = self._make_pool(workers)
+        pool = _pool(self.jobs, self.mp_context)
+        outstanding: Dict[Future, int] = {}
         try:
             while todo:
                 outstanding = {
-                    pool.submit(_execute_payload, payloads[i], self.timeout): i
-                    for i in todo
+                    _submit(pool, payloads[i], self.timeout): i for i in todo
                 }
                 todo = []
                 broken = False
                 while outstanding:
                     done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
                     for future in done:
-                        slot = outstanding.pop(future)
+                        unit = outstanding.pop(future)
                         try:
-                            results[slot] = future.result()
+                            results[unit] = future.result()
                         except JobTimeoutError as exc:
                             self.job_timeouts += 1
-                            self._retry_or_fail(slot, attempts, str(exc))
-                            todo.append(slot)
+                            self._retry_or_fail(unit, attempts, str(exc))
+                            todo.append(unit)
                         except BrokenProcessPool:
                             if not broken:
                                 broken = True
                                 self.worker_failures += 1
                             self._retry_or_fail(
-                                slot, attempts, "worker process died"
+                                unit, attempts, "worker process died"
                             )
-                            todo.append(slot)
+                            todo.append(unit)
                 if broken:
                     # The executor is unusable after a worker death;
                     # replace it before resubmitting the survivors.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._make_pool(workers)
+                    _discard_pool(pool)
+                    pool = _pool(self.jobs, self.mp_context)
                 if todo:
                     todo.sort()
                     # One backoff per retry round, scaled by the worst
-                    # job's failure count so repeated crashes slow down.
+                    # unit's failure count so repeated crashes slow down.
                     self._backoff(max(attempts[i] for i in todo))
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+        except BaseException:
+            for future in outstanding:
+                future.cancel()
+            _discard_pool(pool)
+            raise
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 
@@ -848,7 +1002,16 @@ class SweepRunner:
             "cache_quarantined": self.cache_quarantined,
             "lockstep_groups": self.lockstep_groups,
             "lockstep_jobs": self.lockstep_jobs,
+            "fast_jobs": self.fast_jobs,
             "lockstep_peeled": self.lockstep_peeled,
+            # The engine that ran this runner's simulations (None while
+            # none has run), for run manifests.
+            "engine": (
+                "mixed" if self.lockstep_jobs and self.fast_jobs
+                else "lockstep" if self.lockstep_jobs
+                else "fast" if self.fast_jobs
+                else None
+            ),
             # {group size: count}; JSON object keys are strings so the
             # shape survives a --metrics-out round-trip unchanged.
             "lockstep_group_sizes": {

@@ -609,8 +609,13 @@ class ShardSupervisor:
         return sum(1 for s in self.shards if s.state == "up")
 
     def _drained(self) -> bool:
-        """Draining with nothing pending: every supervisor loop ends."""
-        return self._draining and not self._unfinished
+        """Draining with nothing pending: every supervisor loop ends.
+
+        A submission whose journal write is in flight (``_reserved``)
+        is pending too: it passed the draining check, so it gets its
+        202 and must run before the fleet stops.
+        """
+        return self._draining and not (self._unfinished or self._reserved)
 
     async def start(self) -> None:
         """Cold-start: replay the journal, spawn shards, start the loops."""
@@ -677,7 +682,7 @@ class ShardSupervisor:
         self._draining = True
         self.oplog.emit("fleet_drain", pending=len(self._unfinished))
         self._wake_all()
-        while self._unfinished:
+        while not self._drained():
             await _clock.sleep(0.02)
         # Every loop ends by itself once drained; wait, never cancel: on
         # Python 3.11 the asyncio.wait_for in _http_json can lose a
@@ -1197,7 +1202,16 @@ class ShardSupervisor:
             record.status = "failed"
             record.error = error
             self.jobs_failed += 1
-        self.journal.retire(record.id)
+        try:
+            self.journal.retire(record.id)
+        except OSError as exc:
+            # The job is finished all the same.  Its entry stays live,
+            # so the next cold start re-runs it: safe, since results
+            # are deterministic and cached.
+            self.oplog.emit(
+                "journal_error", job_id=record.id,
+                trace_id=record.trace_id, op="retire", error=str(exc),
+            )
         # Monotonic duration: immune to wall-clock (NTP) steps, so no
         # clamp is needed — a negative value here would be a real bug.
         self.oplog.emit(

@@ -580,6 +580,6 @@ class BatchingService:
                 "runner_jobs_executed": runner["jobs_executed"],
                 "oplog_events": self.oplog.events_emitted,
             },
-            engine="lockstep",
+            engine=runner["engine"],
             artifact_paths=list(artifact_paths),
         )

@@ -253,7 +253,7 @@ class DecodedTrace:
     __slots__ = (
         "n", "line_bytes", "lines", "gaps", "ops",
         "lines_np", "gaps_np", "ops_np", "store_mask", "store_pos",
-        "_set_idx", "_due_prefix",
+        "_set_idx", "_due_prefix", "_misses",
     )
 
     def __init__(self, trace: Trace, line_bytes: int) -> None:
@@ -271,6 +271,7 @@ class DecodedTrace:
         self.store_pos = np.flatnonzero(self.store_mask)
         self._set_idx: Dict[int, np.ndarray] = {}
         self._due_prefix: Dict[int, np.ndarray] = {}
+        self._misses: Dict[int, int] = {}
 
     def set_index(self, num_sets: int) -> np.ndarray:
         """Per-access direct-mapped set index (cached per geometry)."""
@@ -278,6 +279,26 @@ class DecodedTrace:
         if cached is None:
             cached = self.lines_np & (num_sets - 1)
             self._set_idx[num_sets] = cached
+        return cached
+
+    def isolation_misses(self, num_sets: int) -> int:
+        """Misses of a direct-mapped cache of ``num_sets`` sets, in isolation.
+
+        An access misses when the previous access to its set was to
+        another line, or when there was none.  One vectorised pass: a
+        stable sort by set keeps each set's accesses in trace order, so
+        an access's predecessor in its set is its neighbour (cached per
+        geometry).
+        """
+        cached = self._misses.get(num_sets)
+        if cached is None:
+            sets = self.set_index(num_sets)
+            order = np.argsort(sets, kind="stable")
+            by_set, lines = sets[order], self.lines_np[order]
+            cached = min(self.n, 1) + int(np.count_nonzero(
+                (by_set[1:] != by_set[:-1]) | (lines[1:] != lines[:-1])
+            ))
+            self._misses[num_sets] = cached
         return cached
 
     def due_prefix(self, hit_latency: int) -> np.ndarray:

@@ -240,9 +240,15 @@ class TestManifestOut:
         "runner_cache_hits", "runner_cache_misses", "runner_cache_hit_rate",
         "runner_jobs_executed", "runner_exec_seconds",
         "runner_lockstep_groups", "runner_lockstep_jobs",
-        "runner_worker_failures", "runner_job_timeouts",
+        "runner_fast_jobs", "runner_worker_failures", "runner_job_timeouts",
     )
     GA = ["--population", "6", "--generations", "2"]
+
+    @staticmethod
+    def engine_that_ran(lockstep_jobs, fast_jobs):
+        if lockstep_jobs and fast_jobs:
+            return "mixed"
+        return "lockstep" if lockstep_jobs else "fast"
 
     def manifest(self, tmp_path, monkeypatch, argv):
         from repro.qa import load_manifest
@@ -261,12 +267,21 @@ class TestManifestOut:
             tmp_path, monkeypatch,
             [command, "-b", "water", "--scale", "0.3"] + self.GA,
         )
-        assert (manifest.kind, manifest.engine) == (command, "lockstep")
         metrics = manifest.metrics
         for key in self.RUNNER_METRICS:
             assert isinstance(metrics[key], (int, float)), key
         assert metrics["runner_cache_misses"] > 0
-        assert metrics["runner_lockstep_jobs"] > 0
+        assert metrics["runner_jobs_executed"] > 0
+        assert (
+            metrics["runner_lockstep_jobs"] + metrics["runner_fast_jobs"]
+            == metrics["runner_jobs_executed"]
+        )
+        assert manifest.engine == self.engine_that_ran(
+            metrics["runner_lockstep_jobs"], metrics["runner_fast_jobs"]
+        )
+        # water at scale 0.3 is miss-heavy (8.7% predicted misses), so
+        # every same-trace group runs on the fast path.
+        assert (manifest.kind, manifest.engine) == (command, "fast")
 
     def test_optimize_sim_fitness_manifest_carries_sim_metrics(
         self, tmp_path, monkeypatch
@@ -276,12 +291,19 @@ class TestManifestOut:
             ["optimize", "-b", "water", "--scale", "0.3", "--sim-fitness"]
             + self.GA,
         )
-        assert (manifest.kind, manifest.engine) == ("optimize", "lockstep")
         metrics = manifest.metrics
         for key in ("sim_jobs_executed", "sim_cache_hits",
-                    "lockstep_groups", "lockstep_jobs"):
+                    "lockstep_groups", "lockstep_jobs", "fast_jobs"):
             assert isinstance(metrics[key], int), key
-        assert 0 < metrics["lockstep_jobs"] <= metrics["sim_jobs_executed"]
+        assert metrics["sim_jobs_executed"] > 0
+        assert (
+            metrics["lockstep_jobs"] + metrics["fast_jobs"]
+            == metrics["sim_jobs_executed"]
+        )
+        assert manifest.engine == self.engine_that_ran(
+            metrics["lockstep_jobs"], metrics["fast_jobs"]
+        )
+        assert (manifest.kind, manifest.engine) == ("optimize", "fast")
 
 
 class TestFaultsCommand:

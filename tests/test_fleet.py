@@ -659,6 +659,79 @@ class TestDrain:
         assert shard.proc.returncode == -signal.SIGTERM
         assert sup._tasks == []
 
+    def test_drain_runs_a_submission_whose_journal_write_spans_it(
+        self, fake_fleet, clock
+    ):
+        # A submission passes the draining check, then its journal
+        # fsync (on an executor thread) is still running when drain
+        # starts.  It gets its 202, so drain must run it before the
+        # fleet stops, and its admit must not reopen a closed journal.
+        sup, _ = fake_fleet()
+        entered, proceed = threading.Event(), threading.Event()
+        admit = sup.journal.admit
+
+        def slow_admit(docs):
+            entered.set()
+            assert proceed.wait(30)
+            admit(docs)
+
+        sup.journal.admit = slow_admit
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            await clock.run(sup.start())
+            submit = asyncio.ensure_future(sup.submit(fleet_specs(2)))
+            assert await loop.run_in_executor(None, entered.wait, 30)
+            drain = asyncio.ensure_future(sup.drain())
+            await clock.advance(1.0)
+            drained_early = drain.done()
+            proceed.set()
+            records = await submit
+            await clock.run(drain)
+            return drained_early, records
+
+        drained_early, records = asyncio.run(scenario())
+        assert not drained_early
+        assert all_done(records)
+        assert sup.journal.live_count == 0
+        assert sup.journal._fh is None  # closed by drain, not reopened
+
+    def test_a_failed_retire_finishes_the_job_and_the_collector_goes_on(
+        self, fake_fleet, clock, monkeypatch
+    ):
+        # The disk fills as the first finished job is retired.  That job
+        # still finishes, the collector lives on to finish the others,
+        # and drain returns; the entry stays live for the next start.
+        log = io.StringIO()
+        sup, _ = fake_fleet(oplog=OpLogger(stream=log, component="fleet"))
+        real_fsync = os.fsync
+        failures = []
+
+        def fsync_fails_once(fd):
+            if not failures:
+                failures.append(fd)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_fsync(fd)
+
+        async def scenario():
+            await clock.run(sup.start())
+            hold(sup)
+            records = await sup.submit(fleet_specs(3))
+            monkeypatch.setattr(os, "fsync", fsync_fails_once)
+            release(sup)
+            await clock.until(lambda: all_done(records), limit=10)
+            await clock.run(sup.drain(), limit=10)
+            return records
+
+        records = asyncio.run(scenario())
+        assert failures and all_done(records)
+        errors = oplog_events(log, "journal_error")
+        assert [e["job_id"] for e in errors] == [records[0].id]
+        assert "No space left" in errors[0]["error"]
+        assert [doc["id"] for doc in sup.journal.live_jobs()] == [
+            records[0].id
+        ]
+
 
 class TestForwardPath:
     """The per-shard dispatch loop and collector, against FakeShards."""

@@ -6,7 +6,8 @@ cache hits at once; its contract is that every result is
 contract property-style — randomized timer vectors over all registered
 protocols and arbiters, compared as full ``stats_to_dict`` documents —
 plus the peeling rules (unsupported configs run on the per-event path
-transparently) and the sweep runner's same-trace group routing.
+transparently) and the sweep runner's same-trace group routing: a
+hit-dominated group runs lock-step, a miss-heavy one on the fast path.
 """
 
 from dataclasses import replace
@@ -20,7 +21,13 @@ from repro.params import (
     cohort_config,
     msi_fcfs_config,
 )
-from repro.runner import SweepJob, SweepRunner, stats_to_dict
+from repro.runner import (
+    LOCKSTEP_MISS_RATE,
+    SweepJob,
+    SweepRunner,
+    predicted_miss_rate,
+    stats_to_dict,
+)
 from repro.sim.lockstep import (
     LockstepSystem,
     LockstepUnsupported,
@@ -32,7 +39,18 @@ from repro.workloads import timer_sweep, uniform_shared_mix
 
 @pytest.fixture(scope="module")
 def traces():
+    """Miss-heavy (35% predicted): the runner routes it to the fast path."""
     return uniform_shared_mix(4, 400, seed=3)
+
+
+@pytest.fixture(scope="module")
+def hit_traces():
+    """Hit-dominated (0.7% predicted): the runner lock-steps a group."""
+    traces = timer_sweep(4, 8000, seed=0)
+    assert predicted_miss_rate(traces, cohort_config([60] * 4).l1) < (
+        LOCKSTEP_MISS_RATE
+    )
+    return traces
 
 
 def random_thetas(rng) -> list:
@@ -76,7 +94,8 @@ class TestRandomizedCrossEngine:
 
 
 class TestBatchPeeling:
-    def test_batch_peels_unsupported_configs_in_slot(self, traces):
+    def test_batch_peels_unsupported_configs_in_slot(self, hit_traces):
+        traces = hit_traces
         supported = cohort_config([60, 20, 20, 20])
         checked = replace(cohort_config([30] * 4), check_coherence=True)
         pmsi = replace(msi_fcfs_config(4), protocol="pmsi")
@@ -101,10 +120,10 @@ class TestSweepRunnerRouting:
             SweepJob(cohort_config(th), tuple(traces)) for th in thetas_list
         ]
 
-    def test_same_trace_group_runs_in_lockstep(self, traces):
+    def test_same_trace_group_runs_in_lockstep(self, hit_traces):
         runner = SweepRunner(jobs=1, cache_dir=None)
         jobs = self.make_jobs(
-            traces, [[60] * 4, [20] * 4, [5, 60, 200, MSI_THETA]]
+            hit_traces, [[60] * 4, [20] * 4, [5, 60, 200, MSI_THETA]]
         )
         results = runner.run(jobs)
         assert runner.lockstep_groups == 1
@@ -113,19 +132,37 @@ class TestSweepRunnerRouting:
         tele = runner.telemetry()
         assert tele["lockstep_group_sizes"] == {"3": 1}
         assert tele["trace_decode_misses"] >= 0
+        assert (tele["fast_jobs"], tele["engine"]) == (0, "lockstep")
         for job, result in zip(jobs, results):
             direct = run_simulation(job.config, job.traces)
             assert result == stats_to_dict(direct)
 
-    def test_unsupported_jobs_are_peeled_to_the_normal_path(self, traces):
+    def test_miss_heavy_group_runs_on_the_fast_path(self, traces):
+        runner = SweepRunner(jobs=1, cache_dir=None)
+        jobs = self.make_jobs(
+            traces, [[60] * 4, [20] * 4, [5, 60, 200, MSI_THETA]]
+        )
+        assert predicted_miss_rate(traces, jobs[0].config.l1) >= (
+            LOCKSTEP_MISS_RATE
+        )
+        results = runner.run(jobs)
+        assert runner.lockstep_groups == runner.lockstep_jobs == 0
+        assert runner.fast_jobs == runner.jobs_executed == 3
+        assert runner.telemetry()["engine"] == "fast"
+        for job, result in zip(jobs, results):
+            direct = run_simulation(job.config, job.traces)
+            assert result == stats_to_dict(direct)
+
+    def test_unsupported_jobs_are_peeled_to_the_normal_path(self, hit_traces):
         runner = SweepRunner(jobs=1, cache_dir=None)
         checked = replace(cohort_config([30] * 4), check_coherence=True)
-        jobs = self.make_jobs(traces, [[60] * 4, [20] * 4])
-        jobs.append(SweepJob(checked, tuple(traces)))
+        jobs = self.make_jobs(hit_traces, [[60] * 4, [20] * 4])
+        jobs.append(SweepJob(checked, tuple(hit_traces)))
         runner.run(jobs)
         assert runner.lockstep_jobs == 2
         assert runner.lockstep_peeled == 1
         assert runner.jobs_executed == 3
+        assert runner.telemetry()["engine"] == "mixed"
 
     def test_distinct_traces_bypass_grouping(self, traces):
         # Each job replays its own trace prefix, so no two share a
@@ -145,34 +182,45 @@ class TestSweepRunnerRouting:
             direct = run_simulation(job.config, job.traces)
             assert result == stats_to_dict(direct)
 
-    def test_execute_events_name_the_engine_that_ran(self, traces, tmp_path):
+    def test_execute_events_name_the_engine_that_ran(
+        self, traces, hit_traces, tmp_path
+    ):
         from repro.obs.ops import OpLogger, read_oplog
 
-        own = tuple(t.slice(0, len(t) - 1) for t in traces)
+        own = tuple(t.slice(0, len(t) - 1) for t in hit_traces)
         checked = replace(cohort_config([30] * 4), check_coherence=True)
-        jobs = self.make_jobs(traces, [[60] * 4, [20] * 4])
+        jobs = self.make_jobs(hit_traces, [[60] * 4, [20] * 4])
         jobs += [
             SweepJob(cohort_config([5] * 4), own),
-            SweepJob(checked, tuple(traces)),
+            SweepJob(checked, tuple(hit_traces)),
         ]
+        jobs += self.make_jobs(traces, [[60] * 4, [20] * 4])
         path = str(tmp_path / "oplog.jsonl")
         with OpLogger(path=path) as log:
             runner = SweepRunner(jobs=1, cache_dir=None, oplog=log)
             runner.run(jobs)
-        engines = {
-            event["digest"]: event["engine"]
+        events = {
+            event["digest"]: event
             for event in read_oplog(path)
             if event["event"] == "execute"
         }
-        assert [engines[job.digest()] for job in jobs] == [
-            "lockstep", "lockstep", "fast", "fast",
+        assert [events[job.digest()]["engine"] for job in jobs] == [
+            "lockstep", "lockstep", "fast", "fast", "fast", "fast",
         ]
         assert runner.lockstep_jobs == 2
+        # The predicted miss rate behind each group's engine; a job that
+        # belongs to no group (a singleton, a peeled config) logs none.
+        rates = [events[job.digest()].get("miss_rate") for job in jobs]
+        assert rates[0] == rates[1] < LOCKSTEP_MISS_RATE
+        assert rates[2] is None and rates[3] is None
+        assert rates[4] == rates[5] >= LOCKSTEP_MISS_RATE
 
-    def test_lockstep_results_fill_the_shared_cache(self, traces, tmp_path):
+    def test_lockstep_results_fill_the_shared_cache(
+        self, hit_traces, tmp_path
+    ):
         cache = str(tmp_path / "sweeps")
         first = SweepRunner(jobs=1, cache_dir=cache)
-        jobs = self.make_jobs(traces, [[60] * 4, [20] * 4])
+        jobs = self.make_jobs(hit_traces, [[60] * 4, [20] * 4])
         first.run(jobs)
         assert first.lockstep_jobs == 2
         second = SweepRunner(jobs=1, cache_dir=cache)

@@ -1,13 +1,29 @@
-"""Tests for the parallel sweep runner and its result cache."""
+"""Tests for the parallel sweep runner, its worker pool and result cache."""
 
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.params import cohort_config, msi_fcfs_config, pcc_config
-from repro.runner import SweepJob, SweepRunner, stats_to_dict
+import repro.runner as runner_mod
+from repro.params import (
+    CacheGeometry,
+    cohort_config,
+    msi_fcfs_config,
+    pcc_config,
+)
+from repro.runner import (
+    SweepJob,
+    SweepRunner,
+    predicted_miss_rate,
+    stats_to_dict,
+)
 from repro.sim.system import run_simulation
-from repro.workloads import splash_traces
+from repro.sim.trace import Trace, decode_trace
+from repro.workloads import splash_traces, timer_sweep
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +179,204 @@ class TestCache:
         assert tel["jobs_executed"] == 3
         assert tel["exec_seconds"] > 0.0
         assert tel["parallel_batches"] == 0
+
+
+class TestMissRatePredictor:
+    """The routing predictor is a plain direct-mapped cache, vectorised."""
+
+    @staticmethod
+    def direct_mapped_misses(lines, num_sets):
+        resident = {}
+        misses = 0
+        for line in lines:
+            if resident.get(line % num_sets) != line:
+                misses += 1
+                resident[line % num_sets] = line
+        return misses
+
+    @staticmethod
+    def random_trace(rng):
+        n = int(rng.integers(0, 2000))
+        # A small footprint with reuse, so both hits and misses occur.
+        lines = rng.integers(0, int(rng.integers(1, 600)), size=n)
+        return Trace.from_arrays(
+            rng.integers(0, 5, size=n),
+            rng.integers(0, 2, size=n),
+            lines * 64 + rng.integers(0, 64, size=n),
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_a_per_access_model_on_random_traces(self, seed):
+        rng = np.random.default_rng(seed)
+        trace = self.random_trace(rng)
+        decoded = decode_trace(trace, 64)
+        for num_sets in (1, 4, 64, 256):
+            assert decoded.isolation_misses(num_sets) == (
+                self.direct_mapped_misses(
+                    (trace.addrs // 64).tolist(), num_sets
+                )
+            )
+
+    def test_group_rate_is_weighted_by_accesses(self):
+        rng = np.random.default_rng(99)
+        traces = [self.random_trace(rng) for _ in range(3)]
+        l1 = CacheGeometry(size_bytes=64 * 64, line_bytes=64)
+        misses = sum(
+            self.direct_mapped_misses((t.addrs // 64).tolist(), 64)
+            for t in traces
+        )
+        accesses = sum(len(t) for t in traces)
+        assert predicted_miss_rate(traces, l1) == misses / accesses
+        assert predicted_miss_rate([Trace()], l1) == 0.0
+
+
+class TestWorkerPool:
+    """One long-lived pool per process, shared by every runner."""
+
+    @pytest.fixture
+    def worker_pids(self, tmp_path, monkeypatch):
+        """Pids of the processes that ran simulations since the last call.
+
+        Each simulation also sleeps a little, so a batch of several
+        units reaches every worker of the pool.
+        """
+        log = tmp_path / "pids"
+        real_simulate = runner_mod._simulate
+
+        def recording(engine, config, traces, record):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            time.sleep(0.2)
+            return real_simulate(engine, config, traces, record)
+
+        runner_mod.shutdown_pool()
+        monkeypatch.setattr(runner_mod, "_simulate", recording)
+
+        def read():
+            pids = {int(p) for p in log.read_text().split()}
+            log.unlink()
+            return pids
+
+        yield read
+        runner_mod.shutdown_pool()
+
+    @staticmethod
+    def runner():
+        return SweepRunner(jobs=2, cache_dir=None, mp_context="fork")
+
+    def test_two_runners_reuse_the_same_workers(self, traces, worker_pids):
+        jobs = [
+            SweepJob(cohort_config([theta] * 4), tuple(traces))
+            for theta in (5, 17, 60, 200)
+        ]
+        first = self.runner().run(jobs)
+        first_pids = worker_pids()
+        second = self.runner().run(jobs)
+        second_pids = worker_pids()
+        assert first == second
+        assert len(first_pids) == 2 and os.getpid() not in first_pids
+        assert second_pids == first_pids
+
+    def test_concurrent_runners_share_one_pool(self, traces, worker_pids):
+        # Serve shards call `run` from executor threads: four threads
+        # racing for the pool table, with thread switches forced every
+        # microsecond, must still end up on one pool of two workers.
+        import sys
+        import threading
+
+        jobs = [
+            SweepJob(cohort_config([theta] * 4), tuple(traces))
+            for theta in (5, 17)
+        ]
+        expected = [stats_to_dict(run_simulation(j.config, traces))
+                    for j in jobs]
+        results, errors = [], []
+
+        def sweep():
+            try:
+                results.append(self.runner().run(jobs))
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and results == [expected] * 4
+        assert len(worker_pids()) <= 2
+
+    @pytest.mark.parametrize(
+        "method", multiprocessing.get_all_start_methods()
+    )
+    def test_a_sweep_runs_under_every_start_method(self, traces, method):
+        # Under forkserver a worker's parent is the fork server, not the
+        # pool's owner; the worker's watch on its parent must not take
+        # that for the owner's death.  The batch holds a lock-step group
+        # (two shares) and two fast-path jobs.
+        hit_traces = tuple(timer_sweep(2, 8000, seed=0))
+        jobs = [
+            SweepJob(cohort_config([theta] * 2), hit_traces)
+            for theta in (60, 120)
+        ] + [
+            SweepJob(cohort_config([theta] * 4), tuple(traces))
+            for theta in (5, 17)
+        ]
+        runner = SweepRunner(jobs=2, cache_dir=None, mp_context=method)
+        runner_mod.shutdown_pool()
+        try:
+            results = runner.run(jobs)
+        finally:
+            runner_mod.shutdown_pool()
+        direct = [
+            stats_to_dict(run_simulation(job.config, job.traces))
+            for job in jobs
+        ]
+        assert results == direct
+        assert (runner.lockstep_jobs, runner.fast_jobs) == (2, 2)
+        assert runner.parallel_batches == 1
+        assert (runner.worker_failures, runner.job_retries) == (0, 0)
+
+    def test_protocol_registered_after_the_pool_started(
+        self, traces, worker_pids
+    ):
+        from repro.sim.protocols import (
+            MSI,
+            CoherenceProtocol,
+            register,
+            unregister,
+        )
+
+        self.runner().run([
+            SweepJob(cohort_config([theta] * 4), tuple(traces))
+            for theta in (5, 17)
+        ])
+        started = worker_pids()
+        register(CoherenceProtocol("late_msi", MSI.tables,
+                                   heterogeneous=False))
+        try:
+            configs = [
+                replace(msi_fcfs_config(4), protocol="late_msi"),
+                replace(pcc_config(4), protocol="late_msi"),
+            ]
+            results = self.runner().run(
+                [SweepJob(c, tuple(traces)) for c in configs]
+            )
+            direct = [
+                stats_to_dict(run_simulation(c, traces)) for c in configs
+            ]
+        finally:
+            unregister("late_msi")
+        late = worker_pids()
+        assert results == direct
+        # The registry changed, so the batch ran on a fresh pool.
+        assert late and os.getpid() not in late and not late & started
 
 
 class TestWithinBatchDedup:
