@@ -144,10 +144,11 @@ def _add_common(
                             help="GA generations")
     if jobs:
         parser.add_argument("-j", "--jobs", type=_positive_int, default=1,
-                            help="worker processes (1 = serial) for "
-                                 "optimize's analytic GA fitness and for "
-                                 "the sweep runner's pool, which runs "
-                                 "lock-step shares and fast-path jobs")
+                            help="worker processes (1 = serial) of the "
+                                 "sweep runner's pool, which runs "
+                                 "lock-step shares and fast-path jobs; "
+                                 "optimize takes it with --sim-fitness "
+                                 "only")
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -362,6 +363,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     """``cohort optimize``: run the GA timer optimization engine."""
+    if args.jobs > 1 and not args.sim_fitness:
+        print("optimize: --jobs above 1 needs --sim-fitness; the analytic "
+              "GA runs in-process", file=sys.stderr)
+        return 2
     traces = splash_traces(args.benchmark, 4, scale=args.scale, seed=args.seed)
     config = cohort_config([1] * 4)
     profiles = build_profiles(traces, config.l1)
@@ -374,7 +379,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         return _optimize_sim_fitness(args, config, traces, profiles, ga_log)
     engine = OptimizationEngine(profiles, LatencyParams(), _ga_config(args))
     result = engine.optimize(
-        timed=[True] * 4, jobs=args.jobs, on_generation=ga_log,
+        timed=[True] * 4, on_generation=ga_log,
         checkpoint_path=args.checkpoint,
     )
     if ga_log is not None:
@@ -412,9 +417,12 @@ def _optimize_sim_fitness(args, config, traces, profiles, ga_log) -> int:
     import time
 
     from repro.opt import GeneticAlgorithm, SimulationFitness, TimerProblem
+    from repro.runner import SweepRunner
 
     problem = TimerProblem(profiles, LatencyParams(), timed=[True] * 4)
-    fit = SimulationFitness(problem, config, traces)
+    fit = SimulationFitness(
+        problem, config, traces, SweepRunner(jobs=args.jobs, cache_dir=None)
+    )
     ga = GeneticAlgorithm(
         problem.gene_bounds(), fit.fitness, _ga_config(args), map_fn=fit
     )
@@ -1054,9 +1062,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-fitness", action="store_true",
                    help="score timer vectors by *simulated* average memory "
                         "latency instead of the analytic WCML bound; each "
-                        "GA generation is one sweep-runner batch, run "
-                        "in-process on the lock-step engine (constraint "
-                        "C1 stays analytic)")
+                        "GA generation is one sweep-runner batch on the "
+                        "engine the runner picks (the fast path for "
+                        "miss-heavy traces such as fft), spread over "
+                        "--jobs workers (constraint C1 stays analytic)")
     _add_metrics_out(p, "the per-generation GA log (JSON Lines)")
     _add_manifest_out(p)
     _add_common(p, ga=True, jobs=True)

@@ -17,8 +17,6 @@ offline flow the paper describes:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -27,83 +25,6 @@ from repro.analysis.cache_analysis import IsolationProfile
 from repro.analysis.wcml import CoreBound
 from repro.opt.ga import GAConfig, GAResult, GenerationCallback, GeneticAlgorithm
 from repro.opt.problem import TimerProblem
-
-#: Per-worker problem instance, installed once by the pool initializer so
-#: each GA fitness task ships only the gene vector, not the problem.
-_WORKER_PROBLEM: Optional[TimerProblem] = None
-
-
-def _init_fitness_worker(problem: TimerProblem) -> None:
-    global _WORKER_PROBLEM
-    _WORKER_PROBLEM = problem
-
-
-def _fitness_worker(genes: List[int]) -> float:
-    assert _WORKER_PROBLEM is not None, "pool initializer did not run"
-    return _WORKER_PROBLEM.fitness(genes)
-
-
-class _PoolEvaluator:
-    """Crash-contained batch fitness evaluator (the GA's ``map_fn``).
-
-    Owns its ``ProcessPoolExecutor`` and submits one future per gene
-    vector.  A worker death breaks the pool — the evaluator then
-    recreates it and re-evaluates every unfinished vector *in-process*
-    (the fitness function is pure), so one poisoned worker never costs a
-    generation its fitness values.  Per-vector exceptions are returned
-    in-slot, matching the ``MapFn`` contract: the GA converts them to
-    worst-fitness failure records instead of aborting.
-    """
-
-    def __init__(self, problem: TimerProblem, jobs: int) -> None:
-        self.problem = problem
-        self.jobs = jobs
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_init_fitness_worker,
-                initargs=(self.problem,),
-            )
-        return self._pool
-
-    def __call__(self, batch: List[List[int]]) -> List[object]:
-        """Evaluate a batch; failed slots carry the exception instance."""
-        results: List[Optional[object]] = [None] * len(batch)
-        pool = self._ensure_pool()
-        futures = {}
-        broken = False
-        try:
-            for i, genes in enumerate(batch):
-                futures[pool.submit(_fitness_worker, genes)] = i
-        except BrokenProcessPool:
-            broken = True  # a worker died before the batch was submitted
-        for future, i in futures.items():
-            try:
-                results[i] = future.result()
-            except BrokenProcessPool:
-                broken = True
-                break
-            except Exception as exc:
-                results[i] = exc
-        if broken:
-            self.close()
-            for i, genes in enumerate(batch):
-                if results[i] is not None:
-                    continue
-                try:
-                    results[i] = self.problem.fitness(genes)
-                except Exception as exc:
-                    results[i] = exc
-        return results  # type: ignore[return-value]
-
-    def close(self) -> None:
-        """Shut the worker pool down (recreated lazily on next use)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
 
 
 @dataclass
@@ -175,20 +96,13 @@ class OptimizationEngine:
         requirements: Optional[Sequence[Optional[float]]] = None,
         seed_thetas: Optional[Sequence[Sequence[int]]] = None,
         objective_cores: Optional[Sequence[int]] = None,
-        jobs: int = 1,
         on_generation: Optional[GenerationCallback] = None,
         checkpoint_path: Optional[str] = None,
     ) -> OptimizationResult:
         """Optimize the timers of the ``timed`` cores under constraint C1.
 
-        ``jobs > 1`` evaluates each generation's *unmemoized* gene vectors
-        across that many worker processes; the GA trajectory is identical
-        to the serial run (the problem is deterministic and evaluation
-        consumes no GA randomness).  A crashed worker breaks the pool,
-        but the evaluator re-runs the unfinished vectors in-process and
-        rebuilds the pool, so the run — and its trajectory — survives.
-
-        ``on_generation`` is handed through to
+        The analytic fitness is cheap, so every generation is evaluated
+        in-process.  ``on_generation`` is handed through to
         :meth:`~repro.opt.ga.GeneticAlgorithm.run` — e.g. a
         :class:`repro.obs.GAGenerationLog` collecting per-generation
         telemetry.  ``checkpoint_path`` likewise: the GA saves its state
@@ -199,31 +113,14 @@ class OptimizationEngine:
             self.profiles, self.latencies, timed, requirements,
             objective_cores=objective_cores,
         )
-        if jobs > 1:
-            evaluator = _PoolEvaluator(problem, jobs)
-            try:
-                ga = GeneticAlgorithm(
-                    problem.gene_bounds(),
-                    problem.fitness,
-                    self.ga_config,
-                    map_fn=evaluator,
-                )
-                result = ga.run(
-                    initial=seed_thetas,
-                    on_generation=on_generation,
-                    checkpoint_path=checkpoint_path,
-                )
-            finally:
-                evaluator.close()
-        else:
-            ga = GeneticAlgorithm(
-                problem.gene_bounds(), problem.fitness, self.ga_config
-            )
-            result = ga.run(
-                initial=seed_thetas,
-                on_generation=on_generation,
-                checkpoint_path=checkpoint_path,
-            )
+        ga = GeneticAlgorithm(
+            problem.gene_bounds(), problem.fitness, self.ga_config
+        )
+        result = ga.run(
+            initial=seed_thetas,
+            on_generation=on_generation,
+            checkpoint_path=checkpoint_path,
+        )
         evaluation = problem.evaluate(result.best_genes)
         return OptimizationResult(
             thetas=evaluation.thetas,
@@ -240,7 +137,6 @@ class OptimizationEngine:
         self,
         criticalities: Sequence[int],
         requirements_per_mode: Dict[int, Sequence[Optional[float]]],
-        jobs: int = 1,
     ) -> ModeTable:
         """Run the engine once per mode to fill the Mode-Switch LUTs.
 
@@ -269,7 +165,6 @@ class OptimizationEngine:
                 timed,
                 reqs,
                 objective_cores=[i for i, t in enumerate(timed) if t],
-                jobs=jobs,
             )
             table.thetas[mode] = result.thetas
             table.results[mode] = result

@@ -300,11 +300,15 @@ class GeneticAlgorithm:
 
         Excludes ``generations`` on purpose: resuming a finished run with
         a higher generation budget is the supported way to extend it.
+        The fitness function's name stands for the objective, so a run
+        scored by simulation never resumes an analytic run's memo.
         """
         fp = asdict(self.config)
         fp.pop("generations")
+        fn = self.fitness_fn
         return {"schema": CHECKPOINT_SCHEMA, "config": fp,
-                "bounds": [list(b) for b in self.bounds]}
+                "bounds": [list(b) for b in self.bounds],
+                "objective": getattr(fn, "__qualname__", type(fn).__qualname__)}
 
     def _save_checkpoint(
         self,

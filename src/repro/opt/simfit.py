@@ -7,25 +7,31 @@ average memory latency of a full simulation over representative traces,
 while keeping constraint C1 analytic (worst-case requirements cannot be
 established by one measured run).
 
-It implements the GA's ``MapFn`` contract, which is where the lock-step
-engine earns its keep: every generation is a batch of timer vectors
-over the *same* traces, so the internal :class:`~repro.runner.
-SweepRunner` runs the candidates one after another on the lock-step
-engine, each reading the one cached trace decode — and memoizes each
-vector's result, so re-visited candidates across generations are cache
-hits, not simulations.
+It implements the GA's ``MapFn`` contract: every generation is one
+batch of timer vectors over the *same* traces, run by the caller's
+:class:`~repro.runner.SweepRunner`.  The runner picks the engine by the
+traces' predicted miss rate: a miss-heavy set (fft or water at the
+CLI's scales) takes the per-event fast path, one unit per vector, and
+a hit-dominated one runs as lock-step shares; with ``jobs > 1`` the
+units spread over the process's worker pool.  The runner also memoizes
+each vector's result, so re-visited candidates across generations are
+cache hits, not simulations.  A worker that dies under a generation
+costs it nothing: the runner retries the unit on a fresh pool, and a
+batch that still fails falls back to the GA's serial evaluation, where
+only a failing vector scores worst.
 
 Usage::
 
     problem = TimerProblem(profiles, latencies, timed)
-    fit = SimulationFitness(problem, base_config, traces)
+    fit = SimulationFitness(problem, base_config, traces,
+                            SweepRunner(jobs=2, cache_dir=None))
     ga = GeneticAlgorithm(problem.gene_bounds(), fit.fitness,
                           ga_config, map_fn=fit)
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.params import SimConfig
 from repro.opt.problem import TimerProblem
@@ -47,7 +53,7 @@ class SimulationFitness:
         problem: TimerProblem,
         base_config: SimConfig,
         traces: Sequence[Trace],
-        runner: Optional[SweepRunner] = None,
+        runner: SweepRunner,
     ) -> None:
         if base_config.num_cores != problem.num_cores:
             raise ValueError(
@@ -59,7 +65,7 @@ class SimulationFitness:
         self.problem = problem
         self.base_config = base_config
         self.traces = tuple(traces)
-        self.runner = runner or SweepRunner(jobs=1, cache_dir=None)
+        self.runner = runner
 
     # -- MapFn ---------------------------------------------------------------
 
@@ -108,5 +114,5 @@ class SimulationFitness:
         return objective * (1.0 + problem.PENALTY_WEIGHT * violation)
 
     def telemetry(self) -> dict:
-        """The internal runner's counters (lock-step groups, cache)."""
+        """The runner's counters (engines, cache, worker failures)."""
         return self.runner.telemetry()

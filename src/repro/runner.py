@@ -80,13 +80,21 @@ CACHE_LOCK_FILE = ".lock"
 #: depended on the trace family (the table in docs/performance.md).
 LOCKSTEP_MISS_RATE = 0.01
 
+#: How many times one unit (a fast-path job or a lock-step share) may be
+#: re-run after a timeout or worker crash before the batch fails with
+#: :class:`SweepExecutionError`.
+MAX_RETRIES = 2
+
+#: First-retry backoff in seconds; doubles per subsequent failure.
+BACKOFF_BASE = 0.05
+
 
 class JobTimeoutError(RuntimeError):
     """A sweep simulation exceeded the runner's per-simulation ``timeout``.
 
     Raised *inside* the worker (via ``SIGALRM``) so the process pool
     stays alive; the runner retries the simulation's unit up to
-    ``max_retries`` times before giving up with
+    :data:`MAX_RETRIES` times before giving up with
     :class:`SweepExecutionError`.
     """
 
@@ -379,8 +387,8 @@ class SweepRunner:
     that were still uncollected — completed results are kept — and a
     per-simulation ``timeout`` is enforced inside the worker so a stuck
     simulation cannot poison the pool.  Retries are bounded
-    (``max_retries`` per unit) with exponential backoff
-    (``backoff_base * 2**n`` seconds); deterministic simulation errors
+    (:data:`MAX_RETRIES` per unit) with exponential backoff
+    (``BACKOFF_BASE * 2**n`` seconds); deterministic simulation errors
     (oracle violations, watchdog limits) are never retried and propagate
     unchanged.
     """
@@ -391,12 +399,6 @@ class SweepRunner:
     #: enforced in-worker via SIGALRM on the parallel path only, so jobs
     #: that run inline are never timed out.
     timeout: Optional[float] = None
-    #: How many times one unit (a fast-path job or a lock-step share)
-    #: may be re-run after a timeout or worker crash before the batch
-    #: fails with :class:`SweepExecutionError`.
-    max_retries: int = 2
-    #: First-retry backoff in seconds; doubles per subsequent failure.
-    backoff_base: float = 0.05
     #: Multiprocessing start method for the pool (None = platform
     #: default).  Tests use "fork", plus :func:`shutdown_pool`, so
     #: monkeypatched module state propagates into workers.
@@ -886,10 +888,9 @@ class SweepRunner:
 
     def _backoff(self, attempt: int) -> None:
         """Sleep the exponential backoff for a unit's ``attempt``-th retry."""
-        delay = self.backoff_base * (2 ** (attempt - 1))
-        if delay > 0:
-            time.sleep(delay)
-            self.backoff_seconds += delay
+        delay = BACKOFF_BASE * (2 ** (attempt - 1))
+        time.sleep(delay)
+        self.backoff_seconds += delay
 
     def _retry_or_fail(self, unit: int, attempts: List[int], cause: str) -> None:
         """Account one failed execution of ``unit``; raise when exhausted."""
@@ -898,13 +899,13 @@ class SweepRunner:
             self.oplog.emit(
                 "worker_quarantine", component="runner", slot=unit,
                 attempt=attempts[unit], reason=cause,
-                exhausted=attempts[unit] > self.max_retries,
+                exhausted=attempts[unit] > MAX_RETRIES,
             )
-        if attempts[unit] > self.max_retries:
+        if attempts[unit] > MAX_RETRIES:
             raise SweepExecutionError(
                 f"sweep unit {unit} failed {attempts[unit]} times "
                 f"(last cause: {cause}); giving up after "
-                f"max_retries={self.max_retries}"
+                f"{MAX_RETRIES} retries"
             )
         self.job_retries += 1
 
@@ -917,7 +918,7 @@ class SweepRunner:
         pool, and resubmitting only the uncollected units with their
         retry counters bumped: innocents complete on the fresh pool,
         while a unit that deterministically kills its worker exhausts
-        ``max_retries`` and fails the batch with a pointed error.
+        :data:`MAX_RETRIES` and fails the batch with a pointed error.
         Deterministic simulation exceptions propagate immediately; a
         batch that aborts replaces the pool too, so units it leaves
         running never delay the next batch.

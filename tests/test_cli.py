@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -81,6 +83,16 @@ class TestCommands:
             main(["simulate", "-b", "water", "--scale", "0.3",
                   "--jobs", "2"])
         assert excinfo.value.code == 2
+
+    def test_optimize_refuses_jobs_without_sim_fitness(self, capsys):
+        # The analytic GA runs in-process: --jobs reaches only the sweep
+        # runner of --sim-fitness, so without it the flag is refused.
+        rc = main(["optimize", "-b", "water", "--scale", "0.3",
+                   "--jobs", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--sim-fitness" in captured.err
+        assert captured.out == ""
 
     def test_optimize_small(self, capsys):
         rc = main(
@@ -401,3 +413,24 @@ class TestSimulateDiagnostics:
         assert main(args) == 0  # resumes (and re-reports) without error
         assert "optimized thetas" in capsys.readouterr().out
         assert "optimized thetas" in first
+
+    def test_sim_fitness_does_not_resume_an_analytic_checkpoint(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Both runs share the GA config and the gene bounds; resuming the
+        # analytic memo would print its objective as a measured one.
+        monkeypatch.chdir(tmp_path)
+        args = ["optimize", "-b", "water", "--scale", "0.3",
+                "--population", "6", "--generations", "3"]
+        sim = args + ["--sim-fitness"]
+        assert main(sim) == 0
+        fresh = capsys.readouterr().out
+        assert main(args + ["--checkpoint", "ga.json"]) == 0
+        capsys.readouterr()
+        assert main(sim + ["--checkpoint", "ga.json"]) == 0
+        after = capsys.readouterr().out
+
+        def strip_wall_time(out):
+            return re.sub(r"wall time: [0-9.]+s", "wall time", out)
+
+        assert strip_wall_time(after) == strip_wall_time(fresh)

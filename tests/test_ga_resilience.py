@@ -4,18 +4,25 @@ A fitness evaluation that raises — or a batch evaluator that dies
 wholesale — must cost the GA one worst-fitness individual (plus a
 failure record), never the run.  A checkpointed run interrupted at any
 generation must resume to exactly the result an uninterrupted run
-produces.
+produces.  A GA scored by simulation runs each generation on the sweep
+runner's worker pool, whose worker deaths must cost it nothing.
 """
 
 import json
 import math
+import multiprocessing
 import os
 import signal
 
 import pytest
 
-from repro.opt.engine import _PoolEvaluator
+import repro.runner as runner_mod
+from repro.analysis import build_profiles
+from repro.opt import SimulationFitness, TimerProblem
 from repro.opt.ga import GAConfig, GeneticAlgorithm
+from repro.params import LatencyParams, cohort_config
+from repro.runner import SweepRunner
+from repro.workloads import splash_traces
 
 BOUNDS = [(1, 100)] * 3
 
@@ -131,14 +138,18 @@ class TestCheckpointResume:
     def test_finished_run_resumes_as_a_noop(self, tmp_path):
         path = self.checkpoint(tmp_path)
         cfg = small_config(generations=5)
-        first = GeneticAlgorithm(BOUNDS, good_fitness, cfg).run(
+        armed = []
+
+        def fitness(genes):
+            if armed:
+                raise AssertionError("must not re-evaluate anything")
+            return good_fitness(genes)
+
+        first = GeneticAlgorithm(BOUNDS, fitness, cfg).run(
             checkpoint_path=path
         )
-
-        def exploding(genes):
-            raise AssertionError("must not re-evaluate anything")
-
-        again = GeneticAlgorithm(BOUNDS, exploding, cfg).run(
+        armed.append(True)
+        again = GeneticAlgorithm(BOUNDS, fitness, cfg).run(
             checkpoint_path=path
         )
         assert again.best_genes == first.best_genes
@@ -156,6 +167,20 @@ class TestCheckpointResume:
         )
         assert resumed.best_fitness == fresh.best_fitness
         assert resumed.history == fresh.history
+
+    def test_checkpoint_of_another_objective_is_ignored(self, tmp_path):
+        # An analytic and a simulated run of one benchmark share the GA
+        # config and the gene bounds; the fitness function tells them
+        # apart, so neither resumes the other's memo.
+        path = self.checkpoint(tmp_path)
+        cfg = small_config()
+        GeneticAlgorithm(BOUNDS, good_fitness, cfg).run(checkpoint_path=path)
+        fresh = GeneticAlgorithm(BOUNDS, flaky_fitness, cfg).run()
+        resumed = GeneticAlgorithm(BOUNDS, flaky_fitness, cfg).run(
+            checkpoint_path=path
+        )
+        assert resumed == fresh
+        assert resumed.failed_evaluations > 0
 
     def test_corrupt_checkpoint_is_ignored(self, tmp_path):
         path = self.checkpoint(tmp_path)
@@ -185,64 +210,83 @@ class TestCheckpointResume:
         assert resumed.best_fitness == straight.best_fitness
 
 
-class DummyProblem:
-    """Stands in for TimerProblem: pure, picklable, per-gene control."""
+@pytest.fixture(scope="module")
+def fft_problem():
+    """A two-core timer problem over fft traces that miss often enough
+    to take the fast path: one pool unit per gene vector."""
+    traces = splash_traces("fft", 2, scale=0.2, seed=0)
+    config = cohort_config([1, 1])
+    problem = TimerProblem(
+        build_profiles(traces, config.l1), LatencyParams(), [True, True]
+    )
+    return problem, config, traces
 
-    def fitness(self, genes):
-        import multiprocessing
 
-        in_worker = multiprocessing.parent_process() is not None
-        if genes[0] == 13 and in_worker:
-            os.kill(os.getpid(), signal.SIGKILL)
-        if genes[0] == 7:
-            raise ValueError("bad gene")
-        return float(sum(genes))
+@pytest.fixture
+def fresh_pool():
+    """Start the runner's workers after the test's monkeypatches; stop
+    them after."""
+    runner_mod.shutdown_pool()
+    yield
+    runner_mod.shutdown_pool()
+
+
+def simulated_ga(fft_problem, jobs):
+    """A GA scored by simulation on a fresh ``jobs``-worker runner."""
+    problem, config, traces = fft_problem
+    runner = SweepRunner(jobs=jobs, cache_dir=None, mp_context="fork")
+    fit = SimulationFitness(problem, config, traces, runner)
+    ga = GeneticAlgorithm(
+        problem.gene_bounds(), fit.fitness,
+        small_config(population_size=6, generations=2), map_fn=fit,
+    )
+    return ga, runner
 
 
 @pytest.mark.skipif(
     not hasattr(signal, "SIGKILL"), reason="needs POSIX signals"
 )
-class TestPoolEvaluator:
-    def test_per_gene_exceptions_come_back_in_slot(self):
-        evaluator = _PoolEvaluator(DummyProblem(), jobs=2)
-        try:
-            out = evaluator([[7, 1, 1], [1, 1, 1], [2, 2, 2]])
-        finally:
-            evaluator.close()
-        assert isinstance(out[0], ValueError)
-        assert out[1:] == [3.0, 6.0]
-
-    def test_worker_death_falls_back_in_process(self):
-        evaluator = _PoolEvaluator(DummyProblem(), jobs=2)
-        try:
-            out = evaluator([[13, 2, 2], [1, 1, 1], [2, 2, 2]])
-            assert out == [17.0, 3.0, 6.0]
-            # The pool was rebuilt; the evaluator keeps working.
-            assert evaluator([[3, 3, 3]]) == [9.0]
-        finally:
-            evaluator.close()
-
-    def test_pool_breaking_during_submission_falls_back_in_process(
-        self, monkeypatch
+@pytest.mark.usefixtures("fresh_pool")
+class TestSimulatedFitnessOnThePool:
+    def test_worker_death_costs_the_run_nothing(
+        self, fft_problem, tmp_path, monkeypatch
     ):
-        # A worker that dies while the batch is still being submitted
-        # makes the next submit() raise, not the result() calls.
-        from concurrent.futures.process import BrokenProcessPool
+        serial = simulated_ga(fft_problem, jobs=1)[0].run()
+        real_simulate = runner_mod._simulate
+        flag = str(tmp_path / "killed-once")
 
-        evaluator = _PoolEvaluator(DummyProblem(), jobs=2)
-        pool = evaluator._ensure_pool()
-        submitted = []
+        def kill_once(engine, config, traces, record):
+            in_worker = multiprocessing.parent_process() is not None
+            if in_worker and not os.path.exists(flag):
+                open(flag, "w").close()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_simulate(engine, config, traces, record)
 
-        def submit(fn, *args):
-            if submitted:
-                raise BrokenProcessPool("a child process terminated")
-            submitted.append(args)
-            return pool.__class__.submit(pool, fn, *args)
+        monkeypatch.setattr(runner_mod, "_simulate", kill_once)
+        ga, runner = simulated_ga(fft_problem, jobs=2)
+        result = ga.run()
+        assert os.path.exists(flag), "no simulation ran on the pool"
+        assert result == serial
+        assert runner.worker_failures >= 1
+        assert result.failed_evaluations == 0
 
-        monkeypatch.setattr(pool, "submit", submit)
-        try:
-            assert evaluator([[1, 1, 1], [2, 2, 2], [3, 3, 3]]) == [
-                3.0, 6.0, 9.0,
-            ]
-        finally:
-            evaluator.close()
+    def test_simulation_error_scores_worst(
+        self, fft_problem, monkeypatch
+    ):
+        real_simulate = runner_mod._simulate
+        poison = [40, 40]
+
+        def broken_sim(engine, config, traces, record):
+            if list(config.thetas) == poison:
+                raise ValueError("deterministic simulation defect")
+            return real_simulate(engine, config, traces, record)
+
+        monkeypatch.setattr(runner_mod, "_simulate", broken_sim)
+        ga, runner = simulated_ga(fft_problem, jobs=2)
+        result = ga.run(initial=[poison])
+        assert runner.parallel_batches >= 1
+        assert result.generations_run == ga.config.generations
+        assert math.isfinite(result.best_fitness)
+        assert ga._memo[tuple(poison)] == math.inf
+        errors = [f["error"] for f in result.failures if f["genes"] == poison]
+        assert errors and "deterministic" in errors[0]

@@ -9,7 +9,9 @@ unit of its own, and once with the poison job inside a lock-step share.
 
 The runner is pointed at ``mp_context="fork"`` and each test starts and
 ends with :func:`repro.runner.shutdown_pool`, so the workers are forked
-after the test instruments ``_simulate`` and do not outlive it.
+after the test instruments ``_simulate`` and do not outlive it.  The
+retry budget and backoff are module constants, read only in the parent
+process, so a test sets them with ``monkeypatch``.
 """
 
 import json
@@ -19,6 +21,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
@@ -73,6 +76,11 @@ def fresh_pool():
     runner_mod.shutdown_pool()
 
 
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    monkeypatch.setattr(runner_mod, "BACKOFF_BASE", 0.001)
+
+
 def batch_with_poison(layout, traces, hit_traces):
     """Three innocent jobs plus one poison-marked job (slot 1).
 
@@ -103,7 +111,6 @@ def resilient_runner(**kw) -> SweepRunner:
     kw.setdefault("jobs", 2)
     kw.setdefault("cache_dir", None)
     kw.setdefault("mp_context", "fork")
-    kw.setdefault("backoff_base", 0.001)
     return SweepRunner(**kw)
 
 
@@ -165,13 +172,41 @@ class TestWorkerDeath:
             return real_simulate(engine, config, traces, record)
 
         monkeypatch.setattr(runner_mod, "_simulate", always_kill)
+        monkeypatch.setattr(runner_mod, "MAX_RETRIES", 1)
         for layout in LAYOUTS:
-            runner = resilient_runner(max_retries=1)
+            runner = resilient_runner()
             with pytest.raises(
                 SweepExecutionError, match="worker process died"
             ):
                 runner.run(batch_with_poison(layout, traces, hit_traces))
             assert runner.worker_failures >= 2  # initial attempt + retry
+
+    def test_pool_broken_in_submission_completes_the_batch(
+        self, traces, hit_traces, monkeypatch
+    ):
+        # A worker that dies while the batch is still being submitted
+        # makes the next submit() raise, not a future: the units it
+        # refused run on a fresh pool.
+        for layout in LAYOUTS:
+            runner_mod.shutdown_pool()
+            pool = runner_mod._pool(2, "fork")
+            submitted = []
+
+            def submit(fn, *args):
+                if submitted:
+                    raise BrokenProcessPool("a child process terminated")
+                submitted.append(args)
+                return type(pool).submit(pool, fn, *args)
+
+            monkeypatch.setattr(pool, "submit", submit)
+            jobs = batch_with_poison(layout, traces, hit_traces)
+            runner = resilient_runner()
+            results = runner.run(jobs)
+            assert len(submitted) == 1
+            assert results == SweepRunner(jobs=1, cache_dir=None).run(jobs)
+            assert runner.worker_failures == 1
+            assert runner.job_retries >= 1
+            expected_engine_jobs(runner, layout)
 
 
 class TestTimeouts:
@@ -210,8 +245,9 @@ class TestTimeouts:
             return real_simulate(engine, config, traces, record)
 
         monkeypatch.setattr(runner_mod, "_simulate", always_hang)
+        monkeypatch.setattr(runner_mod, "MAX_RETRIES", 1)
         for layout in LAYOUTS:
-            runner = resilient_runner(timeout=0.3, max_retries=1)
+            runner = resilient_runner(timeout=0.3)
             with pytest.raises(SweepExecutionError, match="timeout"):
                 runner.run(batch_with_poison(layout, traces, hit_traces))
             assert runner.job_timeouts == 2  # initial attempt + one retry
@@ -230,13 +266,14 @@ class TestTimeouts:
             return real_simulate(engine, config, traces, record)
 
         monkeypatch.setattr(runner_mod, "_simulate", slow)
+        monkeypatch.setattr(runner_mod, "MAX_RETRIES", 0)
         jobs = batch_with_poison("lockstep", None, hit_traces)
-        runner = resilient_runner(timeout=1.0, max_retries=0)
+        runner = resilient_runner(timeout=1.0)
         # Three distinct jobs: shares of two and one simulations.
         results = runner.run([jobs[0], jobs[2], jobs[3]])
         assert all(r["final_cycle"] > 0 for r in results)
         assert runner.lockstep_jobs == 3 and runner.job_timeouts == 0
-        runner = resilient_runner(timeout=1.0, max_retries=0)
+        runner = resilient_runner(timeout=1.0)
         with pytest.raises(SweepExecutionError, match="timeout"):
             runner.run(jobs)
         assert runner.job_timeouts == 1
@@ -244,8 +281,8 @@ class TestTimeouts:
 
 #: A pool owner in a fresh interpreter: one parallel batch on a pool of
 #: two workers started by the method named in ``argv[1]``, then the
-#: workers' pids on stdout, then death by SIGKILL.
-OWNER = """
+#: workers' pids as the last line of stdout, then death by SIGKILL.
+SWEEP_OWNER = """
 import multiprocessing, os, signal, sys
 from repro.params import cohort_config
 from repro.runner import SweepJob, SweepRunner
@@ -255,6 +292,20 @@ traces = tuple(splash_traces("fft", 2, scale=0.2, seed=0))
 SweepRunner(jobs=2, cache_dir=None, mp_context=sys.argv[1]).run(
     [SweepJob(cohort_config([t, t]), traces) for t in (5, 17, 60, 200)]
 )
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+#: The same, with the pool started by a measured-fitness GA run: the
+#: command's generations are batches on the runner's pool, whose
+#: workers start by the process's default method, set from ``argv[1]``.
+GA_OWNER = """
+import multiprocessing, os, signal, sys
+multiprocessing.set_start_method(sys.argv[1])
+from repro.cli import main
+
+assert main(["optimize", "-b", "fft", "--scale", "0.2", "--sim-fitness",
+             "--jobs", "2", "--population", "4", "--generations", "1"]) == 0
 print(*(p.pid for p in multiprocessing.active_children()), flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
@@ -272,9 +323,14 @@ def _exited(pid) -> bool:
 class TestPoolOutlivesNoParent:
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
     @pytest.mark.parametrize(
+        "script", [SWEEP_OWNER, GA_OWNER], ids=["sweep", "optimize"]
+    )
+    @pytest.mark.parametrize(
         "method", multiprocessing.get_all_start_methods()
     )
-    def test_workers_exit_when_their_parent_is_killed(self, method, tmp_path):
+    def test_workers_exit_when_their_parent_is_killed(
+        self, method, script, tmp_path
+    ):
         # An idle worker blocks on a task pipe that a SIGKILLed owner
         # never closes; the long-lived pool must not leak its workers,
         # whichever process (the owner, or its fork server) started them.
@@ -288,11 +344,12 @@ class TestPoolOutlivesNoParent:
         # pipe open and hang this run.
         with open(out, "w") as fh:
             owner = subprocess.run(
-                [sys.executable, "-c", OWNER, method],
+                [sys.executable, "-c", script, method],
                 stdout=fh, env=env, timeout=120,
             )
         assert owner.returncode == -signal.SIGKILL
-        workers = {int(pid) for pid in out.read_text().split()}
+        last_line = out.read_text().splitlines()[-1]
+        workers = {int(pid) for pid in last_line.split()}
         assert len(workers) == 2
         deadline = time.monotonic() + 10
         try:
