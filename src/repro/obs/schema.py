@@ -83,6 +83,10 @@ OPLOG_EVENT_JSON_SCHEMA: Dict[str, Any] = {
         "batch": {"type": "integer", "minimum": 0},
         "queue_wait_ms": {"type": "number", "minimum": 0},
         "duration_ms": {"type": "number", "minimum": 0},
+        # The fleet router's retire: submitted → dispatched (the 202 of
+        # the latest dispatch landed) and dispatched → finished.
+        "queue_ms": {"type": "number", "minimum": 0},
+        "remote_ms": {"type": "number", "minimum": 0},
     },
 }
 

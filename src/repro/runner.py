@@ -809,11 +809,19 @@ class SweepRunner:
 
         units, group_sizes = self._plan(jobs, pending)
         payloads = [unit.payload(jobs) for unit in units]
+        fresh: List[Optional[List[dict]]] = [None] * len(units)
         started = time.perf_counter()
-        if self.jobs == 1 or len(units) == 1:
-            fresh = [_run_unit(payload, None) for payload in payloads]
-        else:
-            fresh = self._run_parallel(payloads)
+        try:
+            if self.jobs == 1 or len(units) == 1:
+                for k, payload in enumerate(payloads):
+                    fresh[k] = _run_unit(payload, None)
+            else:
+                self._run_parallel(payloads, fresh)
+        except BaseException:
+            # Keep what finished before the error: a retry of the batch
+            # (the GA's serial fallback) finds those results cached.
+            self._store(units, fresh, keys, results, duplicates, op_context)
+            raise
         self.exec_seconds += time.perf_counter() - started
         self.jobs_executed += len(pending)
         for size in group_sizes:
@@ -823,7 +831,22 @@ class SweepRunner:
                 self._lockstep_group_sizes.get(size, 0) + 1
             )
         self.fast_jobs += len(pending) - sum(group_sizes)
+        self._store(units, fresh, keys, results, duplicates, op_context)
+        return results  # type: ignore[return-value]
+
+    def _store(
+        self,
+        units: Sequence[_Unit],
+        fresh: Sequence[Optional[List[dict]]],
+        keys: Sequence[str],
+        results: List[Optional[dict]],
+        duplicates: Mapping[str, List[int]],
+        op_context: Optional[Sequence[Mapping[str, object]]],
+    ) -> None:
+        """Cache and place the results of every unit that finished."""
         for unit, unit_results in zip(units, fresh):
+            if unit_results is None:
+                continue
             for slot, result in zip(unit.slots, unit_results):
                 # Normalise through JSON so fresh and cached results are
                 # indistinguishable (e.g. tuples become lists).
@@ -836,7 +859,6 @@ class SweepRunner:
                 )
                 for dup in duplicates.get(keys[slot], ()):
                     results[dup] = result
-        return results  # type: ignore[return-value]
 
     def _plan(
         self, jobs: Sequence[SweepJob], pending: List[int]
@@ -909,22 +931,26 @@ class SweepRunner:
             )
         self.job_retries += 1
 
-    def _run_parallel(self, payloads: List[tuple]) -> List[List[dict]]:
+    def _run_parallel(
+        self, payloads: List[tuple], results: List[Optional[List[dict]]]
+    ) -> None:
         """Execute unit payloads on the worker pool, one future per unit.
 
-        A worker crash breaks the whole ``ProcessPoolExecutor`` — every
+        Each unit's results land in ``results`` as it finishes.  A
+        worker crash breaks the whole ``ProcessPoolExecutor`` — every
         uncollected future raises ``BrokenProcessPool``.  Containment
         works by keeping the results already collected, replacing the
         pool, and resubmitting only the uncollected units with their
         retry counters bumped: innocents complete on the fresh pool,
         while a unit that deterministically kills its worker exhausts
         :data:`MAX_RETRIES` and fails the batch with a pointed error.
-        Deterministic simulation exceptions propagate immediately; a
-        batch that aborts replaces the pool too, so units it leaves
-        running never delay the next batch.
+        A deterministic simulation exception is not retried: the other
+        units run to the end, then the first such exception is raised.
+        A batch that aborts otherwise replaces the pool, so units it
+        leaves running never delay the next batch.
         """
         self.parallel_batches += 1
-        results: List[Optional[List[dict]]] = [None] * len(payloads)
+        error: Optional[BaseException] = None
         attempts = [0] * len(payloads)
         todo = list(range(len(payloads)))
         pool = _pool(self.jobs, self.mp_context)
@@ -954,6 +980,8 @@ class SweepRunner:
                                 unit, attempts, "worker process died"
                             )
                             todo.append(unit)
+                        except Exception as exc:
+                            error = error or exc
                 if broken:
                     # The executor is unusable after a worker death;
                     # replace it before resubmitting the survivors.
@@ -969,8 +997,9 @@ class SweepRunner:
                 future.cancel()
             _discard_pool(pool)
             raise
+        if error is not None:
+            raise error
         assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
 
     def telemetry(self) -> dict:
         """Cache and worker-timing counters of this runner's lifetime.

@@ -29,9 +29,11 @@ hardened on-disk result cache — and puts a supervising router in front:
 * **Forwarding** — each shard has one dispatch loop and one collector.
   The dispatch loop posts the shard's queued jobs as one ``POST /jobs``
   per trace id and never leaves more than the shard's queue limit
-  uncollected there; the collector polls all of the shard's dispatched
-  jobs with one ``POST /jobs/poll`` per pass.  Neither keeps a queue of
-  its own: both read a job's owner and status from its record.
+  uncollected there; the collector keeps one ``POST /jobs/watch``
+  stream open to the shard and lands each job as soon as the shard
+  streams its line.  Neither keeps a queue of its own: both read a
+  job's owner and status from its record, which the collector finds
+  through the shard's remote-id index.
 
 Everything is asyncio + stdlib, single event-loop-thread state like
 :class:`BatchingService`.  Journal fsyncs run on an executor thread so
@@ -54,14 +56,14 @@ import sys
 import threading
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import hashlib
 
 from repro.obs.ops import OpLogger
 from repro.obs.schema import FLEET_METRICS_SCHEMA, INTAKE_JOURNAL_SCHEMA
-from repro.serve.server import LoopThread, read_headers
+from repro.serve.server import MAX_BODY_BYTES, LoopThread, read_headers
 from repro.serve.service import (
     RETRY_AFTER,
     DrainingError,
@@ -86,7 +88,8 @@ RESTART_BACKOFF_MAX = 5.0
 STABILITY_WINDOW = 10.0
 #: Seconds a spawned shard has to answer its first ``/healthz``.
 SPAWN_TIMEOUT = 60.0
-#: Socket timeout of one dispatch or collection request to a shard.
+#: Socket timeout of one dispatch request to a shard, and of opening
+#: its watch stream.
 REQUEST_TIMEOUT = 30.0
 
 
@@ -115,6 +118,54 @@ class ShardUnreachableError(ConnectionError):
     """A shard did not answer an HTTP request (down, hung, or refusing)."""
 
 
+async def _request(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    doc: Optional[Any] = None,
+    headers: Optional[Dict[str, str]] = None,
+) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter, int, Dict[str, str]]:
+    """Send one request; the open connection, reply status and headers.
+
+    The caller reads the body and closes the writer.  A line of the
+    body may be as long as the largest request body a front-end takes.
+    """
+    reader, writer = await asyncio.open_connection(
+        host, port, limit=MAX_BODY_BYTES
+    )
+    try:
+        body = b"" if doc is None else json.dumps(doc).encode()
+        head = (
+            f"{method} {path} HTTP/1.1\r\n"
+            f"Host: {host}:{port}\r\n"
+            f"Connection: close\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        if body:
+            head += "Content-Type: application/json\r\n"
+        for key, value in (headers or {}).items():
+            head += f"{key}: {value}\r\n"
+        writer.write(head.encode("latin-1") + b"\r\n" + body)
+        await writer.drain()
+        status_line = await reader.readline()
+        parts = status_line.decode("latin-1", "replace").split()
+        if len(parts) < 2 or not parts[1].isdigit():
+            raise ShardUnreachableError("malformed status line")
+        return reader, writer, int(parts[1]), await read_headers(reader)
+    except BaseException:
+        writer.close()
+        raise
+
+
+def _unreachable(
+    method: str, path: str, host: str, port: int, exc: BaseException
+) -> ShardUnreachableError:
+    return ShardUnreachableError(
+        f"{method} {path} on {host}:{port}: {type(exc).__name__}: {exc}"
+    )
+
+
 async def _http_json(
     host: str,
     port: int,
@@ -133,27 +184,10 @@ async def _http_json(
     """
 
     async def _talk() -> Tuple[int, Any]:
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer, status, reply_headers = await _request(
+            host, port, method, path, doc, headers
+        )
         try:
-            body = b"" if doc is None else json.dumps(doc).encode()
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {host}:{port}\r\n"
-                f"Connection: close\r\n"
-                f"Content-Length: {len(body)}\r\n"
-            )
-            if body:
-                head += "Content-Type: application/json\r\n"
-            for key, value in (headers or {}).items():
-                head += f"{key}: {value}\r\n"
-            writer.write(head.encode("latin-1") + b"\r\n" + body)
-            await writer.drain()
-            status_line = await reader.readline()
-            parts = status_line.decode("latin-1", "replace").split()
-            if len(parts) < 2 or not parts[1].isdigit():
-                raise ShardUnreachableError("malformed status line")
-            status = int(parts[1])
-            reply_headers = await read_headers(reader)
             try:
                 length = int(reply_headers.get("content-length", 0))
             except ValueError:
@@ -182,9 +216,69 @@ async def _http_json(
         asyncio.IncompleteReadError,
         ValueError,
     ) as exc:
-        raise ShardUnreachableError(
-            f"{method} {path} on {host}:{port}: {type(exc).__name__}: {exc}"
-        ) from exc
+        raise _unreachable(method, path, host, port, exc) from exc
+
+
+class _WatchStream:
+    """An open ``POST /jobs/watch``: the documents its shard streams.
+
+    Iteration ends when the shard ends the stream or :meth:`close` is
+    called; a torn or malformed line raises
+    :class:`ShardUnreachableError`.
+    """
+
+    def __init__(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self._reader = reader
+        self._writer = writer
+
+    def __aiter__(self) -> "_WatchStream":
+        return self
+
+    async def __anext__(self) -> Dict[str, Any]:
+        try:
+            line = await self._reader.readline()
+            doc = json.loads(line) if line else None
+        except (OSError, ValueError) as exc:
+            raise ShardUnreachableError(
+                f"watch stream: {type(exc).__name__}: {exc}"
+            ) from exc
+        if not line:
+            raise StopAsyncIteration
+        if not isinstance(doc, dict):
+            raise ShardUnreachableError("watch stream: malformed line")
+        return doc
+
+    def close(self) -> None:
+        self._writer.close()
+
+
+async def _watch(host: str, port: int, ids: Sequence[str]) -> _WatchStream:
+    """Open ``POST /jobs/watch`` on a shard for ``ids``.
+
+    Returns once the shard has answered 200: from then on it streams
+    the line of every job it finishes.  Tests swap this seam, as they
+    swap :func:`_http_json`, for in-memory shards.
+    """
+
+    async def _open() -> _WatchStream:
+        reader, writer, status, _ = await _request(
+            host, port, "POST", "/jobs/watch", {"ids": list(ids)}
+        )
+        if status != 200:
+            writer.close()
+            raise ShardUnreachableError(
+                f"POST /jobs/watch on {host}:{port}: status {status}"
+            )
+        return _WatchStream(reader, writer)
+
+    try:
+        return await asyncio.wait_for(_open(), REQUEST_TIMEOUT)
+    except ShardUnreachableError:
+        raise
+    except (OSError, asyncio.TimeoutError, ValueError) as exc:
+        raise _unreachable("POST", "/jobs/watch", host, port, exc) from exc
 
 
 # -- write-ahead intake journal ---------------------------------------------
@@ -435,6 +529,8 @@ class FleetJob:
     #: corrupt it.
     submitted_mono: float = 0.0
     finished_mono: Optional[float] = None
+    #: When the shard's 202 for the latest dispatch landed (monotonic).
+    dispatched_mono: Optional[float] = None
     result: Optional[dict] = None
     error: Optional[str] = None
     digest: Optional[str] = None
@@ -484,6 +580,15 @@ class ShardState:
     completed: int = 0
     log_path: str = ""
     restart_task: Optional["asyncio.Task"] = None
+    #: The record of each job dispatched here, by its remote id.
+    remote: Dict[str, "FleetJob"] = field(default_factory=dict)
+    #: Watch-stream lines that arrived before their job's 202.
+    early: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: The open watch stream, if any.
+    watch: Optional[_WatchStream] = None
+    #: Held while a ``POST /jobs`` is in flight and while the watch
+    #: stream opens, so the two never overlap.
+    posting: asyncio.Lock = field(default_factory=asyncio.Lock)
 
     @property
     def pid(self) -> Optional[int]:
@@ -686,8 +791,11 @@ class ShardSupervisor:
             await _clock.sleep(0.02)
         # Every loop ends by itself once drained; wait, never cancel: on
         # Python 3.11 the asyncio.wait_for in _http_json can lose a
-        # cancel that lands as its request completes.
+        # cancel that lands as its request completes.  A collector ends
+        # when its stream does.
         self._wake_all()
+        for shard in self.shards:
+            self._end_watch(shard)
         await asyncio.gather(
             *self._tasks,
             *(s.restart_task for s in self.shards if s.restart_task),
@@ -845,6 +953,10 @@ class ShardSupervisor:
                 shard.proc.kill()
             except OSError:
                 pass
+        # The stream's lines in flight land nothing now.
+        self._end_watch(shard)
+        shard.remote.clear()
+        shard.early.clear()
         # Requeue every unfinished job the shard owns, the ones that
         # failed over to it included.  A job admitted here that failed
         # over elsewhere is owned, and in flight, there.
@@ -1076,7 +1188,7 @@ class ShardSupervisor:
         """
         wakeup = self._wakeups[shard.index]
         while not self._drained():
-            room = self.shard_queue_limit - len(self._owned(shard, "dispatched"))
+            room = self.shard_queue_limit - len(shard.remote)
             batch = self._owned(shard, "queued")[:max(room, 0)]
             if shard.state == "up" and batch:
                 trace_id = batch[0].trace_id
@@ -1085,7 +1197,8 @@ class ShardSupervisor:
                 )
                 continue
             # Every change that can make work dispatchable here sets
-            # the event: submit, _land, _on_shard_down, the shard coming
+            # the event: submit, a landing that requeues a job or frees
+            # room in a full window, _on_shard_down, the shard coming
             # up, and drain.
             wakeup.clear()
             await wakeup.wait()
@@ -1093,26 +1206,39 @@ class ShardSupervisor:
     async def _post(self, shard: ShardState, records: List[FleetJob]) -> None:
         """One ``POST /jobs`` of same-trace ``records``; backs off on refusal."""
         trace_id = records[0].trace_id
-        try:
-            status, doc = await _http_json(
-                self.host, shard.port, "POST", "/jobs",
-                doc={"jobs": [r.spec.to_dict() for r in records]},
-                timeout=REQUEST_TIMEOUT,
-                headers={"X-Trace-Id": trace_id} if trace_id else None,
-            )
-        except ShardUnreachableError:
-            # The health loop decides whether the shard is down; until
-            # then the records stay queued here.
-            await _clock.sleep(self.health_interval)
-            return
-        if status in (429, 503):
-            await _clock.sleep(self.retry_after)
-            return
+        # The collector opens its stream under the same lock, so each
+        # 202 lands either before the stream's ids are taken or after
+        # the shard began streaming to the router.
+        async with shard.posting:
+            try:
+                status, doc = await _http_json(
+                    self.host, shard.port, "POST", "/jobs",
+                    doc={"jobs": [r.spec.to_dict() for r in records]},
+                    timeout=REQUEST_TIMEOUT,
+                    headers={"X-Trace-Id": trace_id} if trace_id else None,
+                )
+            except ShardUnreachableError:
+                # The health loop decides whether the shard is down;
+                # until then the records stay queued here.
+                wait = self.health_interval
+            else:
+                wait = self.retry_after if status in (429, 503) else 0.0
+                if not wait:
+                    self._accept(shard, records, status, doc)
+        if wait:
+            await _clock.sleep(wait)
+
+    def _accept(
+        self, shard: ShardState, records: List[FleetJob], status: int,
+        doc: Any,
+    ) -> None:
+        """Apply a ``POST /jobs`` answer: index the accepted records."""
         accepted = doc.get("jobs") if isinstance(doc, dict) else None
         ok = status == 202 and isinstance(accepted, list) and (
             len(accepted) == len(records)
         )
         detail = doc.get("error") if isinstance(doc, dict) else None
+        now = _clock.now()
         for i, record in enumerate(records):
             # Failover may have moved the record while the request was
             # in flight; then it is no longer this shard's to update.
@@ -1127,63 +1253,107 @@ class ShardSupervisor:
                 continue
             record.remote_id = accepted[i]["id"]
             record.status = "dispatched"
+            record.dispatched_mono = now
             record.attempts += 1
+            shard.remote[record.remote_id] = record
             self.oplog.emit(
                 "dispatch", job_id=record.id, trace_id=record.trace_id,
                 shard=shard.index, remote_id=record.remote_id,
             )
+            # The two connections are not ordered: the job's line may
+            # have come in on the stream before this 202.
+            line = shard.early.pop(record.remote_id, None)
+            if line is not None:
+                self._land(shard, line)
 
     async def _collect_loop(self, shard: ShardState) -> None:
-        """Poll all of this shard's dispatched jobs, one request per pass."""
-        while not self._drained():
-            waiting = {r.remote_id: r for r in self._owned(shard, "dispatched")}
-            if shard.state == "up" and waiting:
-                try:
-                    status, doc = await _http_json(
-                        self.host, shard.port, "POST", "/jobs/poll",
-                        doc={"ids": list(waiting)},
-                        timeout=REQUEST_TIMEOUT,
-                    )
-                except ShardUnreachableError:
-                    # Transient while the shard is still marked up: if it
-                    # really died, the health loop declares it down and
-                    # replay takes these records over.
-                    await _clock.sleep(self.health_interval)
-                    continue
-                if status == 200 and isinstance(doc, dict):
-                    self._land(shard, waiting, doc)
-            await _clock.sleep(0.05)
+        """Keep one watch stream open to this shard while it is up.
 
-    def _land(
-        self, shard: ShardState, waiting: Dict[Optional[str], FleetJob],
-        doc: Dict[str, Any],
-    ) -> None:
-        """Apply one ``/jobs/poll`` answer; wake the dispatch loop."""
-        remote_docs = doc.get("jobs") or {}
-        unknown = set(doc.get("unknown") or ())
-        for remote_id, record in waiting.items():
-            if (
-                record.status != "dispatched"
-                or record.shard != shard.index
-                or record.remote_id != remote_id
-            ):
-                continue  # failed over or requeued while polling
-            remote = remote_docs.get(remote_id) or {}
-            if remote_id in unknown:
-                # The shard no longer knows the id: send the job again.
-                record.status = "queued"
-                record.remote_id = None
-            elif remote.get("status") == "done":
-                record.digest = remote.get("digest")
-                self._finish(record, result=remote.get("result"))
-                shard.completed += 1
-            elif remote.get("status") == "failed":
-                self._finish(
-                    record,
-                    error=remote.get("error") or "shard execution failed",
+        A stream that ends or fails while the shard is still up is
+        reopened one health interval later: only the health loop
+        declares the shard down, and a dropped stream fails no job.
+        """
+        while not self._drained():
+            if shard.state == "up":
+                await self._watch_shard(shard)
+                if self._drained():
+                    return
+            await _clock.sleep(self.health_interval)
+
+    async def _watch_shard(self, shard: ShardState) -> None:
+        """Open a watch stream to the shard; land its lines until it ends."""
+        async with shard.posting:
+            # No POST /jobs is in flight, and none starts before the
+            # shard answers: each job dispatched there is among these
+            # ids or is accepted once the shard streams to the router.
+            # So a line still kept waits for a 202 that never came.
+            shard.early.clear()
+            try:
+                stream = await _watch(
+                    self.host, shard.port, list(shard.remote)
                 )
-        # Collected or requeued jobs may have opened room in the window.
-        self._wakeups[shard.index].set()
+            except ShardUnreachableError:
+                return
+        if shard.state != "up" or self._drained():
+            stream.close()
+            return
+        shard.watch = stream
+        try:
+            async for doc in stream:
+                if shard.watch is not stream:
+                    break  # the shard went down, or the router drained
+                self._land(shard, doc)
+        except ShardUnreachableError:
+            pass
+        finally:
+            stream.close()
+            if shard.watch is stream:
+                shard.watch = None
+
+    def _end_watch(self, shard: ShardState) -> None:
+        """Close the shard's watch stream; its collector stops reading."""
+        if shard.watch is not None:
+            shard.watch.close()
+            shard.watch = None
+
+    def _land(self, shard: ShardState, doc: Dict[str, Any]) -> None:
+        """Apply one line of the shard's watch stream."""
+        remote_id = doc.get("id")
+        if not isinstance(remote_id, str):
+            return
+        record = shard.remote.get(remote_id)
+        if record is None:
+            shard.early[remote_id] = doc  # _accept lands it with its 202
+            return
+        if (
+            record.status != "dispatched"
+            or record.shard != shard.index
+            or record.remote_id != remote_id
+        ):
+            return  # failed over or requeued meanwhile
+        status = doc.get("status")
+        if status not in ("done", "failed", "unknown"):
+            return
+        # Only a requeue, or room freed in a full window, opens work
+        # for the dispatch loop.
+        wake = status == "unknown" or (
+            len(shard.remote) >= self.shard_queue_limit
+        )
+        del shard.remote[remote_id]
+        if status == "unknown":
+            # The shard no longer knows the id: send the job again.
+            record.status = "queued"
+            record.remote_id = None
+        elif status == "done":
+            record.digest = doc.get("digest")
+            self._finish(record, result=doc.get("result"))
+            shard.completed += 1
+        else:
+            self._finish(
+                record, error=doc.get("error") or "shard execution failed",
+            )
+        if wake:
+            self._wakeups[shard.index].set()
 
     def _finish(
         self,
@@ -1212,12 +1382,20 @@ class ShardSupervisor:
                 "journal_error", job_id=record.id,
                 trace_id=record.trace_id, op="retire", error=str(exc),
             )
-        # Monotonic duration: immune to wall-clock (NTP) steps, so no
-        # clamp is needed — a negative value here would be a real bug.
+        # Monotonic hops: immune to wall-clock (NTP) steps, so no clamp
+        # is needed — a negative value here would be a real bug.  A job
+        # never dispatched spent all its time in the router's queue.
+        dispatched = (
+            record.finished_mono if record.dispatched_mono is None
+            else record.dispatched_mono
+        )
+        queue_ms = (dispatched - record.submitted_mono) * 1000
+        remote_ms = (record.finished_mono - dispatched) * 1000
         self.oplog.emit(
             "retire", job_id=record.id, trace_id=record.trace_id,
             status=record.status, shard=record.shard,
-            duration_ms=(record.finished_mono - record.submitted_mono) * 1000,
+            duration_ms=queue_ms + remote_ms, queue_ms=queue_ms,
+            remote_ms=remote_ms,
         )
 
     # -- metrics -------------------------------------------------------------

@@ -21,7 +21,12 @@ One :class:`JsonHttpApp` serves the same routes over either backend, a
   the job's result envelope,
 * ``GET /jobs/<id>`` — poll one job (result embedded when done),
 * ``POST /jobs/poll`` — poll many jobs in one round-trip
-  (``{"ids": [...], "include_result": bool}``).
+  (``{"ids": [...], "include_result": bool}``),
+* ``POST /jobs/watch`` — ``cohort serve`` only: for ``{"ids": [...]}``
+  a 200 whose close-delimited NDJSON body first holds one line per
+  given id that is finished (the full record) or unknown, then one
+  line per job the service finishes, until it has drained.  The fleet
+  router keeps one open to each shard.
 
 :func:`run_server` is the one lifecycle of both commands.
 ``SIGTERM``/``SIGINT`` trigger a graceful drain: submissions are
@@ -34,6 +39,7 @@ benchmarks.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import os
 import signal
@@ -41,7 +47,9 @@ import tempfile
 import threading
 import time
 import urllib.parse
-from typing import Any, Dict, Optional, Tuple
+from typing import (
+    Any, AsyncGenerator, Dict, Iterable, List, Optional, Tuple,
+)
 
 from repro.obs.ops import new_trace_id, valid_trace_id
 from repro.obs.promexport import prometheus_from_metrics
@@ -84,8 +92,9 @@ class JsonHttpApp:
     The backend is a :class:`BatchingService` or a
     :class:`~repro.serve.fleet.ShardSupervisor`; the app uses only
     ``healthz()``, ``scrape()`` (the ``/metrics`` document), ``get``,
-    ``retry_after`` and ``submit`` (a coroutine on the fleet, which
-    fsyncs its intake journal off-loop).
+    ``retry_after``, ``submit`` (a coroutine on the fleet, which
+    fsyncs its intake journal off-loop) and, where the backend has
+    them, ``watch``/``unwatch`` (``POST /jobs/watch``).
     """
 
     def __init__(self, backend: Any) -> None:
@@ -99,18 +108,25 @@ class JsonHttpApp:
             status, doc, extra = await self._handle_request(reader)
         except Exception:
             status, doc, extra = 500, {"error": "internal server error"}, {}
-        if isinstance(doc, str):
-            # A pre-rendered text payload (the Prometheus exposition);
-            # the route names its own Content-Type via ``extra``.
-            payload = doc.encode()
-            content_type = extra.pop("Content-Type", "text/plain")
+        chunks: Optional[AsyncGenerator[bytes, None]] = None
+        if inspect.isasyncgen(doc):
+            # A watch stream: the body ends when the connection closes.
+            # Its first chunk opens it and goes out with the head.
+            chunks = doc
+            payload = await anext(chunks)
         else:
-            payload = json.dumps(doc).encode()
-            content_type = "application/json"
+            if isinstance(doc, str):
+                # A pre-rendered text payload (the Prometheus
+                # exposition); the route names its own Content-Type via
+                # ``extra``.
+                payload = doc.encode()
+                extra.setdefault("Content-Type", "text/plain")
+            else:
+                payload = json.dumps(doc).encode()
+                extra["Content-Type"] = "application/json"
+            extra["Content-Length"] = str(len(payload))
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
             f"Connection: close\r\n"
         )
         for key, value in extra.items():
@@ -118,9 +134,15 @@ class JsonHttpApp:
         try:
             writer.write(head.encode("latin-1") + b"\r\n" + payload)
             await writer.drain()
+            if chunks is not None:
+                async for chunk in chunks:
+                    writer.write(chunk)
+                    await writer.drain()
         except (ConnectionError, OSError):
             pass
         finally:
+            if chunks is not None:
+                await chunks.aclose()
             writer.close()
 
     async def _handle_request(
@@ -181,6 +203,10 @@ class JsonHttpApp:
             if method != "POST":
                 return 405, {"error": "method not allowed"}, {}
             return self._poll(body)
+        if path == "/jobs/watch" and hasattr(self.backend, "watch"):
+            if method != "POST":
+                return 405, {"error": "method not allowed"}, {}
+            return self._watch(body)
         if path.startswith("/jobs/"):
             if method != "GET":
                 return 405, {"error": "method not allowed"}, {}
@@ -216,15 +242,10 @@ class JsonHttpApp:
         pollers (``ServeClient.wait``, the load generator) from drowning the
         server in per-job requests.
         """
-        try:
-            doc = json.loads(body or b"null")
-        except ValueError:
-            return 400, {"error": "request body is not valid JSON"}, {}
-        if not isinstance(doc, dict) or not isinstance(doc.get("ids"), list):
-            return 400, {"error": '"ids" must be a list of job ids'}, {}
+        doc = _ids_body(body)
+        if isinstance(doc, str):
+            return 400, {"error": doc}, {}
         ids = doc["ids"]
-        if not all(isinstance(job_id, str) for job_id in ids):
-            return 400, {"error": "job ids must be strings"}, {}
         include_result = doc.get("include_result", True)
         if not isinstance(include_result, bool):
             return 400, {"error": '"include_result" must be a boolean'}, {}
@@ -237,6 +258,43 @@ class JsonHttpApp:
             else:
                 jobs[job_id] = record.to_dict(include_result=include_result)
         return 200, {"jobs": jobs, "unknown": unknown}, {}
+
+    def _watch(self, body: bytes) -> Tuple[int, Any, Dict[str, str]]:
+        """``POST /jobs/watch``: stream finished jobs as NDJSON lines.
+
+        Body: ``{"ids": [...]}``.
+        """
+        doc = _ids_body(body)
+        if isinstance(doc, str):
+            return 400, {"error": doc}, {}
+        return (
+            200, self._watch_lines(doc["ids"]),
+            {"Content-Type": "application/x-ndjson"},
+        )
+
+    async def _watch_lines(
+        self, ids: List[str]
+    ) -> AsyncGenerator[bytes, None]:
+        """The stream's body: the first lines, then one chunk per batch.
+
+        The stream opens before its first chunk, and so before the
+        status line goes out: every job the service accepts after a
+        client has read that line is reported on it.  The records of
+        one runner batch are retired in one event-loop step, so they
+        are all queued by the time this wakes.
+        """
+        first, queue = self.backend.watch(ids)
+        try:
+            yield _ndjson(first)
+            while True:
+                records = [await queue.get()]
+                while not queue.empty():
+                    records.append(queue.get_nowait())
+                yield _ndjson(r.to_dict() for r in records if r is not None)
+                if records[-1] is None:  # the batcher has stopped
+                    return
+        finally:
+            self.backend.unwatch(queue)
 
     async def _submit(
         self, body: bytes, trace_id: str
@@ -283,6 +341,24 @@ class JsonHttpApp:
             },
             {"X-Trace-Id": trace_id},
         )
+
+
+def _ids_body(body: bytes) -> Any:
+    """The ``{"ids": [...]}`` document of a poll or watch request, or
+    the error text of its 400."""
+    try:
+        doc = json.loads(body or b"null")
+    except ValueError:
+        return "request body is not valid JSON"
+    if not isinstance(doc, dict) or not isinstance(doc.get("ids"), list):
+        return '"ids" must be a list of job ids'
+    if not all(isinstance(job_id, str) for job_id in doc["ids"]):
+        return "job ids must be strings"
+    return doc
+
+
+def _ndjson(docs: Iterable[Dict[str, Any]]) -> bytes:
+    return b"".join(json.dumps(doc).encode() + b"\n" for doc in docs)
 
 
 async def _read_head(

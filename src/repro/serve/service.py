@@ -14,8 +14,11 @@ The service turns independent HTTP submissions into
 * batches execute on a thread-pool executor, keeping the event loop
   (and therefore ``/healthz``, ``/metrics`` and status polling)
   responsive while simulations run;
+* **completion streams**: :meth:`BatchingService.watch` hands each
+  open ``POST /jobs/watch`` stream every job the service finishes, so a
+  client (the fleet router) learns of a result without polling;
 * **graceful drain**: once draining, new submissions are refused while
-  queued and in-flight jobs run to completion.
+  queued and in-flight jobs run to completion, then the streams end.
 
 Everything here is asyncio + stdlib; the HTTP front-end lives in
 :mod:`repro.serve.server` and a synchronous client in
@@ -277,6 +280,9 @@ class BatchingService:
         self._task: Optional[asyncio.Task] = None
         self._draining = False
         self._inflight = 0
+        #: One queue per open watch stream: every retired record, then
+        #: ``None`` once the batcher has stopped.
+        self._watchers: List["asyncio.Queue[Optional[JobRecord]]"] = []
         self._started_mono = time.monotonic()
         # Counters surfaced through /metrics.
         self.jobs_submitted = 0
@@ -326,6 +332,9 @@ class BatchingService:
         if self._task is not None:
             await self._task
             self._task = None
+        # Nothing finishes from here on: end every watch stream.
+        for queue in self._watchers:
+            queue.put_nowait(None)
         self.oplog.emit("drained")
 
     # -- submission / polling ------------------------------------------------
@@ -389,6 +398,38 @@ class BatchingService:
     def get(self, job_id: str) -> Optional[JobRecord]:
         """Look up a job record by id (None if unknown)."""
         return self._jobs.get(job_id)
+
+    def watch(
+        self, ids: Sequence[str]
+    ) -> Tuple[List[Dict[str, Any]], "asyncio.Queue[Optional[JobRecord]]"]:
+        """Open one completion stream: ``(first documents, queue)``.
+
+        The first documents answer ``ids``: the full record of each
+        finished job, ``{"id": …, "status": "unknown"}`` for each id
+        the service does not know, nothing for a job still queued or
+        running.  The queue then receives every record the service
+        finishes, and ``None`` once its batcher has stopped.  Both are
+        taken in one step, so no job falls between them.  Pass the
+        queue to :meth:`unwatch` when the stream closes.
+        """
+        queue: "asyncio.Queue[Optional[JobRecord]]" = asyncio.Queue()
+        if self._draining and self._task is None:
+            queue.put_nowait(None)  # the batcher has stopped
+        else:
+            self._watchers.append(queue)
+        first = []
+        for job_id in ids:
+            record = self._jobs.get(job_id)
+            if record is None:
+                first.append({"id": job_id, "status": "unknown"})
+            elif record.status in ("done", "failed"):
+                first.append(record.to_dict())
+        return first, queue
+
+    def unwatch(self, queue: "asyncio.Queue[Optional[JobRecord]]") -> None:
+        """Close a stream :meth:`watch` opened."""
+        if queue in self._watchers:
+            self._watchers.remove(queue)
 
     @property
     def queue_depth(self) -> int:
@@ -457,7 +498,10 @@ class BatchingService:
             self._inflight = 0
 
     def _retire(self, record: JobRecord) -> None:
-        """Log one finished job and record its service-lifecycle row."""
+        """Log one finished job, record its service-lifecycle row and
+        hand it to every watch stream."""
+        for queue in self._watchers:
+            queue.put_nowait(record)
         self.oplog.emit(
             "retire", trace_id=record.trace_id, job_id=record.id,
             status=record.status, digest=record.digest,

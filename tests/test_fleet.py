@@ -2,10 +2,11 @@
 
 Unit tests cover the routing ring, the fleet's Prometheus exposition
 and the supervisor itself without processes or real time: the shards
-are an in-memory stand-in behind a stubbed ``_http_json``, a spawned
-shard is a stand-in process object, and the supervisor's clock is a
-:class:`ManualClock` that advances virtual time.  They drive failover,
-the dispatch loop and collector, drain, health probes, restart backoff,
+are an in-memory stand-in behind stubbed ``_http_json`` and ``_watch``
+seams, a spawned shard is a stand-in process object, and the
+supervisor's clock is a :class:`ManualClock` that advances virtual
+time.  They drive failover, the dispatch loop and the collector's watch
+streams, the per-hop stamps, drain, health probes, restart backoff,
 flap detection, admission and the cold-start replay of the intake
 journal.  Integration tests run a real :class:`FleetThread`
 — actual ``cohort serve`` subprocesses under a supervising router —
@@ -157,52 +158,78 @@ Request = collections.namedtuple(
 #: Every request the router may send a shard.
 ROUTER_REQUESTS = {
     ("GET", "/healthz"), ("GET", "/metrics"),
-    ("POST", "/jobs"), ("POST", "/jobs/poll"),
+    ("POST", "/jobs"), ("POST", "/jobs/watch"),
 }
 
 
-class FakeShards:
-    """In-memory shards behind a stubbed ``repro.serve.fleet._http_json``.
+class FakeStream:
+    """One watch stream of :class:`FakeShards`, as the router reads it."""
 
-    Models the shard HTTP API per port and logs every request as a
-    :data:`Request` stamped with the clock's virtual time.  A job is
-    ``done`` on its first poll unless its remote id is in ``held``; an
-    id in ``forget`` is dropped and answered as unknown.  ``refuse``
-    holds HTTP methods answered as if the shard were unreachable;
-    ``queue_limit`` answers 429 to a POST that would leave more than
-    that many uncollected jobs on one shard; ``refusals`` holds statuses
-    to answer the next ``POST /jobs`` requests with; ``on_request``
-    runs while each request is in flight.
+    def __init__(self, first):
+        self.lines = asyncio.Queue()
+        self.closed = False  # by the router
+        for doc in first:
+            self.lines.put_nowait(doc)
+
+    def __aiter__(self):
+        return self
+
+    async def __anext__(self):
+        doc = await self.lines.get()
+        if doc is None:
+            raise StopAsyncIteration
+        return doc
+
+    def close(self):
+        self.closed = True
+        self.lines.put_nowait(None)
+
+
+class FakeShards:
+    """In-memory shards behind stubbed ``_http_json`` and ``_watch``.
+
+    Models the shard HTTP API per port and logs every request (a watch
+    stream's opening included) as a :data:`Request` stamped with the
+    clock's virtual time.  A job finishes ``run_time`` virtual seconds
+    after its shard accepts it, and its line goes out on every stream
+    open on that port, unless its remote id is in ``held`` (finished by
+    :meth:`release`) or in ``forget`` (dropped: a stream opened for it
+    answers unknown).  With ``early_lines`` a ``POST /jobs`` finishes
+    its jobs and lets the router read their lines before it answers;
+    with ``post_time`` its 202 takes that many virtual seconds, while
+    its jobs run.  ``refuse`` holds HTTP methods answered as if the shard were
+    unreachable; ``queue_limit`` answers 429 to a POST that would leave
+    more than that many unfinished jobs on one shard; ``refusals``
+    holds statuses to answer the next ``POST /jobs`` requests with;
+    ``on_request`` runs while each request is in flight, and
+    ``on_line`` after each line goes out.
     """
 
     def __init__(self, clock):
         self.clock = clock
         self.log = []
-        self.open = {}  # remote id -> port: accepted, not yet collected
+        self.open = {}  # remote id -> port: accepted, not yet finished
+        self.finished = {}  # remote id -> its line
+        self.done_at = {}  # remote id -> virtual time it finished
+        self.streams = {}  # port -> the streams open there
+        self.opened = []  # every stream, in opening order
         self.minted = 0
+        self.run_time = 0.0
+        self.post_time = 0.0
         self.held = set()
         self.forget = set()
         self.refuse = set()
+        self.early_lines = False
         self.queue_limit = None
         self.refusals = []
         self.rejected = 0
         self.on_request = None
+        self.on_line = None
 
     def requests(self, method, path):
         return [r for r in self.log if (r.method, r.path) == (method, path)]
 
-    def _record(self, remote_id):
-        if remote_id in self.held:
-            return {"id": remote_id, "status": "running"}
-        self.open.pop(remote_id, None)
-        return {
-            "id": remote_id, "status": "done", "digest": remote_id,
-            "result": {"final_cycle": 1},
-        }
-
-    async def __call__(
-        self, host, port, method, path, doc=None, timeout=5.0, headers=None
-    ):
+    def _receive(self, port, method, path, doc=None, headers=None):
         request = Request(
             port, method, path, doc, headers or {}, self.clock.now()
         )
@@ -211,33 +238,80 @@ class FakeShards:
             self.on_request(request)
         if method in self.refuse:
             raise ShardUnreachableError("connection refused")
+
+    def _finish(self, remote_id):
+        port = self.open.pop(remote_id)
+        line = {
+            "id": remote_id, "status": "done", "digest": remote_id,
+            "result": {"final_cycle": 1},
+        }
+        self.finished[remote_id] = line
+        self.done_at[remote_id] = self.clock.now()
+        for stream in self.streams.get(port, ()):
+            if not stream.closed:
+                stream.lines.put_nowait(line)
+        if self.on_line is not None:
+            self.on_line(port, line)
+
+    async def _run(self, remote_id):
+        await self.clock.sleep(self.run_time)
+        if remote_id not in self.held:
+            self._finish(remote_id)
+
+    def release(self):
+        """Finish every held job now."""
+        for remote_id in sorted(self.held & set(self.open)):
+            self._finish(remote_id)
+        self.held.clear()
+
+    def drop(self, port):
+        """End every stream open on ``port`` from the shard's side."""
+        for stream in self.streams.pop(port, ()):
+            stream.lines.put_nowait(None)
+
+    async def watch(self, host, port, ids):
+        self._receive(port, "POST", "/jobs/watch", {"ids": list(ids)})
+        first = [
+            self.finished[i] if i in self.finished
+            else {"id": i, "status": "unknown"}
+            for i in ids if i not in self.open
+        ]
+        stream = FakeStream(first)
+        self.streams.setdefault(port, []).append(stream)
+        self.opened.append(stream)
+        return stream
+
+    async def __call__(
+        self, host, port, method, path, doc=None, timeout=5.0, headers=None
+    ):
+        self._receive(port, method, path, doc, headers)
         if (method, path) in (("GET", "/healthz"), ("GET", "/metrics")):
             return 200, {"status": "ok"}
-        if (method, path) == ("POST", "/jobs"):
-            if self.refusals:
-                return self.refusals.pop(0), {"error": "refused"}
-            specs = doc["jobs"] if "jobs" in doc else [doc]
-            uncollected = sum(1 for p in self.open.values() if p == port)
-            if self.queue_limit and uncollected + len(specs) > self.queue_limit:
-                self.rejected += 1
-                return 429, {"error": "queue full", "retry_after": 0.01}
-            ids = [f"remote-{self.minted + i}" for i in range(len(specs))]
-            self.minted += len(specs)
-            self.open.update(dict.fromkeys(ids, port))
-            return 202, {"jobs": [{"id": i, "status": "queued"} for i in ids]}
-        if (method, path) == ("POST", "/jobs/poll"):
-            unknown = [i for i in doc["ids"] if i in self.forget]
-            for remote_id in unknown:
-                self.open.pop(remote_id, None)
-            return 200, {
-                "jobs": {
-                    i: self._record(i) for i in doc["ids"] if i not in unknown
-                },
-                "unknown": unknown,
-            }
-        if method == "GET" and path.startswith("/jobs/"):
-            return 200, self._record(path[len("/jobs/"):])
-        return 404, {"error": f"no route for {path}"}
+        if (method, path) != ("POST", "/jobs"):
+            return 404, {"error": f"no route for {path}"}
+        if self.refusals:
+            return self.refusals.pop(0), {"error": "refused"}
+        specs = doc["jobs"] if "jobs" in doc else [doc]
+        unfinished = sum(1 for p in self.open.values() if p == port)
+        if self.queue_limit and unfinished + len(specs) > self.queue_limit:
+            self.rejected += 1
+            return 429, {"error": "queue full", "retry_after": 0.01}
+        ids = [f"remote-{self.minted + i}" for i in range(len(specs))]
+        self.minted += len(specs)
+        for remote_id in ids:
+            if remote_id in self.forget:
+                continue
+            self.open[remote_id] = port
+            if self.early_lines:
+                self._finish(remote_id)
+            else:
+                asyncio.ensure_future(self._run(remote_id))
+        if self.early_lines:
+            for _ in range(ManualClock.SETTLE):
+                await asyncio.sleep(0)  # the router reads the lines
+        if self.post_time:
+            await self.clock.sleep(self.post_time)
+        return 202, {"jobs": [{"id": i, "status": "queued"} for i in ids]}
 
 
 @pytest.fixture
@@ -267,6 +341,7 @@ def fake_fleet(tmp_path, monkeypatch, clock):
     def make(shards=1, **kwargs):
         fake = FakeShards(clock)
         monkeypatch.setattr(fleet, "_http_json", fake)
+        monkeypatch.setattr(fleet, "_watch", fake.watch)
         sup = ShardSupervisor(
             shards=shards,
             fleet_dir=str(tmp_path / "fleet"),
@@ -461,15 +536,17 @@ class TestSupervisorFailover:
         assert clock.now() == sup.health_interval
 
     def test_collect_retries_while_shard_marked_up(self, fake_fleet, clock):
-        # A transient poll failure must not abandon dispatched jobs: the
-        # collector polls once per health interval until the health
-        # loop flips the state, at which point replay owns the records.
+        # A watch stream that cannot open must not abandon dispatched
+        # jobs: the collector tries once per health interval, with the
+        # dispatched ids, until the health loop flips the state, at
+        # which point replay owns the records.
         sup, shards = self._supervisor(fake_fleet, shards=1)
         shards.refuse = {"POST"}
         shard = sup.shards[0]
         record = self._admit_one(sup)
         record.status = "dispatched"
         record.remote_id = "remote-1"
+        shard.remote["remote-1"] = record
 
         async def drive():
             task = asyncio.ensure_future(sup._collect_loop(shard))
@@ -482,15 +559,16 @@ class TestSupervisorFailover:
             await cancel(task)
 
         asyncio.run(drive())
-        polls = shards.requests("POST", "/jobs/poll")
-        assert shards.log == polls
-        assert [r.at for r in polls] == [
-            k * sup.health_interval for k in range(5)
+        opens = shards.requests("POST", "/jobs/watch")
+        assert shards.log == opens
+        assert [(r.at, r.doc["ids"]) for r in opens] == [
+            (k * sup.health_interval, ["remote-1"]) for k in range(5)
         ]
         assert sup.jobs_failed == 0
         # Replay took the record back: the dispatch loop sends it again.
         assert (record.status, record.remote_id) == ("queued", None)
         assert sup._owned(shard, "queued") == [record]
+        assert shard.remote == {}
 
     def test_restarts_run_concurrently_per_shard(self, fake_fleet, clock):
         # A slow restart of one shard must not stop the health loop
@@ -696,6 +774,24 @@ class TestDrain:
         assert sup.journal.live_count == 0
         assert sup.journal._fh is None  # closed by drain, not reopened
 
+    def test_drain_ends_every_stream(self, fake_fleet, clock):
+        # The router closes its watch streams once it has drained, so
+        # every collector returns and drain stops the shards.
+        sup, shards = fake_fleet(shards=2)
+
+        async def scenario():
+            await sup.start()
+            records = await sup.submit(fleet_specs(4))
+            await clock.until(lambda: all_done(records))
+            await clock.run(sup.drain(), limit=1.0)
+
+        asyncio.run(scenario())
+        assert len(shards.opened) == 2
+        assert all(stream.closed for stream in shards.opened)
+        assert all(shard.watch is None for shard in sup.shards)
+        assert sup._tasks == []
+        assert all(shard.state == "down" for shard in sup.shards)
+
     def test_a_failed_retire_finishes_the_job_and_the_collector_goes_on(
         self, fake_fleet, clock, monkeypatch
     ):
@@ -754,23 +850,27 @@ class TestForwardPath:
             (len(r.doc["jobs"]), r.headers["X-Trace-Id"]) for r in posts
         ] == [(3, "trace-a"), (2, "trace-b")]
 
-    def test_one_poll_covers_every_dispatched_job(self, fake_fleet, clock):
-        # The shard forgets the second job: the router sends it again.
+    def test_unknown_id_at_stream_open_is_sent_again(self, fake_fleet, clock):
+        # The shard forgets the second job.  Its stream drops, and the
+        # reopened stream reports that id unknown: the router sends the
+        # job again.
         sup, shards = fake_fleet()
         shards.forget.add("remote-1")
 
         async def scenario():
             await sup.start()
-            hold(sup)
             records = await sup.submit(fleet_specs(3), trace_id="trace-a")
-            release(sup)
+            await clock.until(
+                lambda: records[0].status == records[2].status == "done"
+            )
+            shards.drop(9000)
             await clock.until(lambda: all_done(records))
             await clock.run(sup.drain())
             return records
 
         records = asyncio.run(scenario())
-        first_poll = shards.requests("POST", "/jobs/poll")[0]
-        assert first_poll.doc["ids"] == ["remote-0", "remote-1", "remote-2"]
+        opens = shards.requests("POST", "/jobs/watch")
+        assert [r.doc["ids"] for r in opens] == [[], ["remote-1"]]
         posts = [r.doc["jobs"] for r in shards.requests("POST", "/jobs")]
         assert posts == [
             [r.spec.to_dict() for r in records], [records[1].spec.to_dict()],
@@ -795,29 +895,36 @@ class TestForwardPath:
             (fast,) = await sup.submit(fleet_specs(1, 1), trace_id="trace-b")
             await clock.until(lambda: fast.status == "done", limit=2.0)
             assert slow.status == "dispatched"
-            shards.held.clear()
+            shards.release()
             await clock.run(sup.drain())
 
         asyncio.run(scenario())
 
-    @pytest.mark.parametrize("path", ["/jobs", "/jobs/poll"])
+    @pytest.mark.parametrize("path", ["/jobs", "/jobs/watch"])
     def test_job_finishes_when_its_shard_goes_down_mid_request(
         self, fake_fleet, clock, path
     ):
         # The health loop declares shard A down while A is answering the
-        # job's POST /jobs (with a 202) or POST /jobs/poll (with done).
-        # The job has failed over to B by then, so A's answer must not
-        # touch it: B sends and collects it.
+        # job's POST /jobs (with a 202) or while the job's line is on
+        # its way up A's watch stream.  The job has failed over to B by
+        # then, so A's answer must not touch it: B sends and collects it.
         sup, shards = fake_fleet(shards=2)
         down = []
 
-        def shard_goes_down(request):
-            if request.path == path and not down:
-                (victim,) = [s for s in sup.shards if s.port == request.port]
+        def shard_goes_down(port):
+            if not down:
+                (victim,) = [s for s in sup.shards if s.port == port]
                 down.append(victim.index)
                 sup._on_shard_down(victim, "heartbeat deadline missed")
 
-        shards.on_request = shard_goes_down
+        def during_post(request):
+            if request.path == "/jobs":
+                shard_goes_down(request.port)
+
+        if path == "/jobs":
+            shards.on_request = during_post
+        else:
+            shards.on_line = lambda port, line: shard_goes_down(port)
 
         async def scenario():
             await sup.start()
@@ -860,32 +967,28 @@ class TestForwardPath:
     def test_unreachable_shard_costs_one_request_per_health_interval(
         self, fake_fleet, clock
     ):
-        # The shard is marked up but refuses every POST: both loops back
-        # off exactly one health interval per attempt, and no job fails
-        # — declaring the shard down is the health loop's call.
+        # The shard is marked up but refuses every POST: the dispatch
+        # loop and the collector each back off exactly one health
+        # interval per attempt, and no job fails — declaring the shard
+        # down is the health loop's call.
         sup, shards = fake_fleet()
-        shards.refuse = {"POST"}
 
         async def scenario():
             await sup.start()
-            hold(sup)
-            queued, dispatched = await sup.submit(fleet_specs(2))
-            dispatched.status = "dispatched"
-            dispatched.remote_id = "remote-0"
-            release(sup)
+            shards.refuse = {"POST"}  # before either loop's first try
+            (record,) = await sup.submit(fleet_specs(1))
             await clock.until(
                 lambda: len(shards.requests("POST", "/jobs")) >= 3
-                and len(shards.requests("POST", "/jobs/poll")) >= 3
+                and len(shards.requests("POST", "/jobs/watch")) >= 3
             )
-            assert (queued.status, dispatched.status) == (
-                "queued", "dispatched"
-            )
+            assert record.status == "queued"
             shards.refuse = set()
+            await clock.until(lambda: record.status == "done")
             await clock.run(sup.drain())
 
         asyncio.run(scenario())
         assert sup.jobs_failed == 0
-        for path in ("/jobs", "/jobs/poll"):
+        for path in ("/jobs", "/jobs/watch"):
             times = [r.at for r in shards.requests("POST", path)][:3]
             gaps = [later - earlier for earlier, later in zip(times, times[1:])]
             assert gaps == pytest.approx([sup.health_interval] * 2), path
@@ -933,6 +1036,138 @@ class TestForwardPath:
         assert shards.rejected == 0
         assert sum(len(r.doc["jobs"]) for r in posts) == 6
         assert max(len(r.doc["jobs"]) for r in posts) <= 4
+
+    def test_line_before_its_202_lands_the_job_once(self, fake_fleet, clock):
+        # The shard finishes the job and the router reads its line
+        # before the POST's 202 is handled: the line is kept until the
+        # 202 lands the job, once.
+        log = io.StringIO()
+        sup, shards = fake_fleet(oplog=OpLogger(stream=log, component="fleet"))
+        shards.early_lines = True
+        shard = sup.shards[0]
+        kept = []
+        accept = sup._accept
+
+        def accept_and_look(shard, records, status, doc):
+            kept.append(set(shard.early))
+            accept(shard, records, status, doc)
+
+        sup._accept = accept_and_look
+
+        async def scenario():
+            await sup.start()
+            (record,) = await sup.submit(fleet_specs(1), trace_id="trace-a")
+            await clock.until(lambda: record.status == "done")
+            await clock.run(sup.drain())
+            return record
+
+        record = asyncio.run(scenario())
+        assert kept == [{"remote-0"}]
+        assert record.digest == "remote-0" and record.attempts == 1
+        assert [e["job_id"] for e in oplog_events(log, "retire")] == [
+            record.id
+        ]
+        assert (sup.jobs_completed, shard.completed) == (1, 1)
+        assert shard.early == {} and shard.remote == {}
+
+    def test_dropped_stream_is_reopened_with_the_dispatched_ids(
+        self, fake_fleet, clock
+    ):
+        # The shard ends its stream while it is still up and a job runs
+        # there: the router opens a new one a health interval later,
+        # asking for that job, and the job lands on it.
+        sup, shards = fake_fleet()
+        shards.held.add("remote-0")
+
+        async def scenario():
+            await sup.start()
+            (record,) = await sup.submit(fleet_specs(1))
+            await clock.until(lambda: record.status == "dispatched")
+            shards.drop(9000)
+            dropped = clock.now()
+            await clock.until(
+                lambda: len(shards.requests("POST", "/jobs/watch")) == 2
+            )
+            shards.release()
+            await clock.until(lambda: record.status == "done")
+            await clock.run(sup.drain())
+            return record, dropped
+
+        record, dropped = asyncio.run(scenario())
+        opens = shards.requests("POST", "/jobs/watch")
+        assert [(r.at, r.doc["ids"]) for r in opens] == [
+            (0.0, []), (dropped + sup.health_interval, ["remote-0"]),
+        ]
+        assert sup.jobs_failed == 0
+        assert (record.attempts, record.digest) == (1, "remote-0")
+
+
+    def test_stream_does_not_open_while_a_post_is_in_flight(
+        self, fake_fleet, clock
+    ):
+        # The stream drops as a job's POST goes out, and the shard
+        # finishes the job while its slow 202 is on the way.  The
+        # stream reopens only once that 202 has landed, so it asks for
+        # the job and the shard reports it finished.
+        sup, shards = fake_fleet()
+        shards.post_time = 2 * sup.health_interval
+
+        async def scenario():
+            await sup.start()
+            await clock.advance(0)  # the first stream opens
+            shards.drop(9000)
+            (record,) = await sup.submit(fleet_specs(1))
+            await clock.until(lambda: record.status == "done", limit=5.0)
+            await clock.run(sup.drain())
+            return record
+
+        record = asyncio.run(scenario())
+        (post,) = shards.requests("POST", "/jobs")
+        landed = post.at + shards.post_time
+        assert shards.done_at["remote-0"] < landed
+        opens = shards.requests("POST", "/jobs/watch")
+        assert [(r.at, r.doc["ids"]) for r in opens] == [
+            (0.0, []), (landed, ["remote-0"]),
+        ]
+        assert record.finished_mono == landed
+
+
+class TestServedJobHops:
+    """The router's per-hop stamps of a served job, on the manual clock."""
+
+    def test_hops_add_up_and_a_job_lands_when_its_shard_finishes(
+        self, fake_fleet, clock
+    ):
+        # A one-job window: each job runs 0.3 virtual seconds on the
+        # shard and the next waits in the router's queue until it is
+        # landed.  The router finishes each job the moment the shard
+        # does, and its retire event splits the job time into the two
+        # hops exactly.
+        log = io.StringIO()
+        sup, shards = fake_fleet(
+            shard_queue_limit=1,
+            oplog=OpLogger(stream=log, component="fleet"),
+        )
+        shards.run_time = 0.3
+
+        async def scenario():
+            await sup.start()
+            records = await sup.submit(fleet_specs(3), trace_id="trace-a")
+            await clock.until(lambda: all_done(records))
+            await clock.run(sup.drain())
+            return records
+
+        records = asyncio.run(scenario())
+        retires = {e["job_id"]: e for e in oplog_events(log, "retire")}
+        for i, record in enumerate(records):
+            event = retires[record.id]
+            assert event["queue_ms"] + event["remote_ms"] == (
+                event["duration_ms"]
+            )
+            assert event["queue_ms"] == pytest.approx(300 * i)
+            assert event["remote_ms"] == pytest.approx(300)
+            assert record.finished_mono == shards.done_at[record.digest]
+            assert record.finished_mono == pytest.approx(0.3 * (i + 1))
 
 
 class TestFleetPrometheus:

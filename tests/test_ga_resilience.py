@@ -290,3 +290,6 @@ class TestSimulatedFitnessOnThePool:
         assert ga._memo[tuple(poison)] == math.inf
         errors = [f["error"] for f in result.failures if f["genes"] == poison]
         assert errors and "deterministic" in errors[0]
+        # The failed batch keeps what the pool finished, so the serial
+        # fallback simulates only the poison again.
+        assert runner.cache_misses == len(ga._memo) + 1

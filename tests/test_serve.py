@@ -12,6 +12,7 @@ import asyncio
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -689,6 +690,66 @@ class TestBatchPolling:
             with pytest.raises(ServeClientError) as excinfo:
                 client.poll_jobs(ids + ["nope"])
             assert excinfo.value.status == 404
+
+
+class TestWatchStream:
+    """POST /jobs/watch on a real ``cohort serve`` front-end."""
+
+    @staticmethod
+    def _open(port, ids):
+        sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+        body = json.dumps({"ids": ids}).encode()
+        sock.sendall(
+            b"POST /jobs/watch HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(body), body)
+        )
+        return sock, sock.makefile("rb")
+
+    def test_streams_finished_jobs_and_ends_when_drained(self):
+        # The stream answers the given ids first (a finished job in
+        # full, an unknown id), then each job finished after it opened;
+        # a drain ends it promptly even though the client keeps it open.
+        thread = ServerThread(runner=SweepRunner(jobs=1, cache_dir=None))
+        thread.start()
+        stopped = False
+        try:
+            client = ServeClient(thread.base_url, timeout=30.0)
+            (done,) = client.submit([TINY])
+            client.wait([done["id"]], timeout=300)
+            sock, stream = self._open(thread.port, [done["id"], "nope"])
+            with sock, stream:
+                status = stream.readline().split()[1]
+                headers = {}
+                while (line := stream.readline().strip()):
+                    key, _, value = line.decode().partition(":")
+                    headers[key.lower()] = value.strip()
+                assert status == b"200"
+                assert headers["content-type"] == "application/x-ndjson"
+                assert "content-length" not in headers
+                first = [json.loads(stream.readline()) for _ in range(2)]
+                assert first[0]["id"] == done["id"]
+                assert first[0]["status"] == "done" and first[0]["result"]
+                assert first[1] == {"id": "nope", "status": "unknown"}
+                (later,) = client.submit([dict(TINY, seed=1)])
+                line = json.loads(stream.readline())
+                assert (line["id"], line["status"]) == (later["id"], "done")
+                started = time.monotonic()
+                thread.stop()
+                stopped = True
+                assert time.monotonic() - started < 10
+                assert stream.read() == b""  # the shard ended the stream
+        finally:
+            if not stopped:
+                thread.stop()
+
+    def test_bad_body_is_400(self):
+        with ServerThread(runner=SweepRunner(jobs=1, cache_dir=None)) as t:
+            status, doc = raw_exchange(
+                t.port,
+                b"POST /jobs/watch HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+            )
+        assert status.split()[1] == "400"
+        assert doc == {"error": '"ids" must be a list of job ids'}
 
 
 class TestWaitDeadline:
