@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import List, Optional
 
 from repro.params import LatencyParams, cohort_config
@@ -40,7 +41,7 @@ from repro.experiments import (
     run_wcml_experiment,
 )
 from repro.opt import GAConfig, OptimizationEngine
-from repro.sim.system import run_simulation
+from repro.sim.system import System
 from repro.workloads import benchmark_names, splash_traces
 
 
@@ -616,20 +617,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim.oracle import CoherenceViolationError
 
     telemetry = None
+    system = System(config, traces)
     try:
         if args.trace_out or args.metrics_out:
             from repro.obs import Telemetry
-            from repro.sim.system import System
 
             # Telemetry needs the full event stream, which only the
             # per-event engine publishes.
-            system = System(config, traces)
             telemetry = Telemetry.attach(
                 system, sample_every=args.sample_every, label="simulate"
             )
-            stats = system.run()
-        else:
-            stats = run_simulation(config, traces)
+        started = time.process_time()
+        stats = system.run()
+        host_cpu_s = time.process_time() - started
     except CoherenceViolationError as exc:
         print(f"coherence violation: {exc}", file=sys.stderr)
         if not args.trace_out:
@@ -682,6 +682,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             artifact_paths=[
                 p for p in (args.trace_out, args.metrics_out) if p
             ],
+            # Host time varies from run to run, and the kernel's event
+            # count with the engine's implementation: neither is part of
+            # what the run computed, so both sit in the unfingerprinted
+            # environment.
+            environment={
+                "host_cpu_s": host_cpu_s,
+                "accesses_per_s": (
+                    sum(c.accesses for c in stats.cores) / host_cpu_s
+                    if host_cpu_s > 0 else None
+                ),
+                "kernel_events": system.kernel.scheduled_events,
+            },
         )
     return 0
 

@@ -15,45 +15,71 @@ Four policies cover every system evaluated in the paper:
   slots cycle over the *critical* cores only; non-critical cores are
   served exclusively when no critical core has an outstanding request.
 
-Arbiters choose among :class:`~repro.sim.messages.BusJob` candidates
-whenever the bus goes idle.  A decision either grants a job now or asks to
-be woken at a later cycle (TDM slot boundaries).
+Each round the system hands the arbiter the protocol engine's request
+table — core id → that core's one outstanding
+:class:`~repro.sim.messages.CoherenceRequest` — and the write-backs
+waiting for a shared-bus slot (``wb_on_bus`` only, oldest first), and
+the arbiter returns the request or write-back to grant, or None.  A
+request is grantable while ``QUEUED`` (its broadcast) or ``WAITING`` and
+``ready`` (its data transfer).  Within one core the grantable request
+goes first, then the oldest write-back: the data > broadcast >
+write-back priority, since a core never has two requests.  No job list
+is built.  The system runs a round only when the bus can grant; a
+policy that grants only at certain cycles (TDM slot boundaries) names
+the cycle to try again in :attr:`Arbiter.wake_at`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Collection, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.params import ArbiterKind, SimConfig
-from repro.sim.messages import BusJob, JobKind
+from repro.sim.messages import CoherenceRequest, ReqState, Writeback
 
 
-@dataclass(frozen=True)
-class ArbitrationDecision:
-    """Outcome of one arbitration round."""
-
-    job: Optional[BusJob] = None
-    #: If no job is granted, re-arbitrate at this cycle (TDM boundaries).
-    wake_at: Optional[int] = None
-
-
-def _best_job(jobs: List[BusJob]) -> BusJob:
-    """A core's highest-priority job: DATA > BROADCAST > WRITEBACK, oldest first."""
-    return min(jobs, key=lambda j: (int(j.kind), j.seq))
+def _oldest_writeback(
+    core_id: int, writebacks: Collection[Writeback]
+) -> Optional[Writeback]:
+    """``core_id``'s oldest write-back waiting for the bus, or None."""
+    for wb in writebacks:
+        if wb.core_id == core_id:
+            return wb
+    return None
 
 
-def _jobs_by_core(jobs: Sequence[BusJob]) -> Dict[int, List[BusJob]]:
-    by_core: Dict[int, List[BusJob]] = {}
-    for job in jobs:
-        by_core.setdefault(job.core_id, []).append(job)
-    return by_core
+def _first_job(
+    order: Iterable[int],
+    requests: Mapping[int, CoherenceRequest],
+    writebacks: Collection[Writeback],
+) -> Optional[Union[CoherenceRequest, Writeback]]:
+    """The best grantable job of the first core in ``order`` with one.
+
+    A core's best job is its request when grantable (data or broadcast;
+    a core has one request at most), else its oldest write-back."""
+    queued = ReqState.QUEUED
+    waiting = ReqState.WAITING
+    for core_id in order:
+        req = requests.get(core_id)
+        if req is not None:
+            state = req.state
+            if state is queued or (state is waiting and req.ready):
+                return req
+        if writebacks:
+            wb = _oldest_writeback(core_id, writebacks)
+            if wb is not None:
+                return wb
+    return None
 
 
 class Arbiter(ABC):
     """Base class of all arbitration policies."""
+
+    #: Set by :meth:`decide` when it declined although a job was
+    #: grantable: the cycle to arbitrate again (TDM slot boundaries).
+    #: None otherwise; read only right after a None decision.
+    wake_at: Optional[int] = None
 
     def __init__(self, num_cores: int) -> None:
         self.num_cores = num_cores
@@ -62,15 +88,17 @@ class Arbiter(ABC):
     def decide(
         self,
         cycle: int,
-        jobs: Sequence[BusJob],
-        busy_cores: Set[int],
-    ) -> ArbitrationDecision:
-        """Pick a job to grant at ``cycle`` among grantable ``jobs``.
+        requests: Mapping[int, CoherenceRequest],
+        writebacks: Collection[Writeback],
+    ) -> Optional[Union[CoherenceRequest, Writeback]]:
+        """Pick the request or write-back to grant at ``cycle``, or None.
 
-        ``busy_cores`` is the set of cores with *any* outstanding request,
-        including requests that are waiting on remote timers and therefore
-        have no grantable job right now (the TDM policy needs this to
+        ``requests`` holds every core's outstanding request, grantable
+        or not: one waiting on a remote timer has no job right now, but
+        its core still counts as busy (the TDM policy needs that to
         decide whether non-critical cores may use the slack).
+        ``writebacks`` are the write-backs waiting for a bus slot,
+        oldest first.
         """
 
     def on_request_completed(self, core_id: int) -> None:
@@ -119,13 +147,14 @@ class RROFArbiter(Arbiter):
     def order(self) -> List[int]:
         return list(self._order)
 
-    def decide(self, cycle, jobs, busy_cores):
+    def decide(
+        self,
+        cycle: int,
+        requests: Mapping[int, CoherenceRequest],
+        writebacks: Collection[Writeback],
+    ) -> Optional[Union[CoherenceRequest, Writeback]]:
         """Grant the first core in RROF order with a grantable job."""
-        by_core = _jobs_by_core(jobs)
-        for core_id in self._order:
-            if core_id in by_core:
-                return ArbitrationDecision(job=_best_job(by_core[core_id]))
-        return ArbitrationDecision()
+        return _first_job(self._order, requests, writebacks)
 
     def on_request_completed(self, core_id: int) -> None:
         """The served core rotates to the back of the sequence."""
@@ -151,25 +180,46 @@ class RoundRobinArbiter(Arbiter):
         super().__init__(num_cores)
         self._order = deque(range(num_cores))
 
-    def decide(self, cycle, jobs, busy_cores):
+    def decide(
+        self,
+        cycle: int,
+        requests: Mapping[int, CoherenceRequest],
+        writebacks: Collection[Writeback],
+    ) -> Optional[Union[CoherenceRequest, Writeback]]:
         """Grant the first core in order with a job; rotate past it."""
-        by_core = _jobs_by_core(jobs)
-        for core_id in list(self._order):
-            if core_id in by_core:
-                self._order.remove(core_id)
-                self._order.append(core_id)
-                return ArbitrationDecision(job=_best_job(by_core[core_id]))
-        return ArbitrationDecision()
+        job = _first_job(self._order, requests, writebacks)
+        if job is not None:
+            self._order.remove(job.core_id)
+            self._order.append(job.core_id)
+        return job
 
 
 class FCFSArbiter(Arbiter):
     """COTS first-come first-serve over all grantable jobs."""
 
-    def decide(self, cycle, jobs, busy_cores):
-        """Grant the oldest grantable job, regardless of core."""
-        if not jobs:
-            return ArbitrationDecision()
-        return ArbitrationDecision(job=min(jobs, key=lambda j: (j.seq,)))
+    def decide(
+        self,
+        cycle: int,
+        requests: Mapping[int, CoherenceRequest],
+        writebacks: Collection[Writeback],
+    ) -> Optional[Union[CoherenceRequest, Writeback]]:
+        """Grant the oldest grantable job, regardless of core.
+
+        Requests and write-backs share one sequence space (``req_id``
+        and ``seq``), so age compares across both."""
+        queued = ReqState.QUEUED
+        waiting = ReqState.WAITING
+        best: Optional[Union[CoherenceRequest, Writeback]] = None
+        best_seq = 0
+        for req in requests.values():
+            state = req.state
+            if state is queued or (state is waiting and req.ready):
+                if best is None or req.req_id < best_seq:
+                    best, best_seq = req, req.req_id
+        wb = next(iter(writebacks), None)  # the oldest write-back
+        if wb is not None and (best is None or wb.seq < best_seq):
+            best = wb
+        return best
 
 
 class TDMArbiter(Arbiter):
@@ -207,35 +257,54 @@ class TDMArbiter(Arbiter):
         """First slot boundary strictly after ``cycle``."""
         return (cycle // self.slot_width + 1) * self.slot_width
 
-    def decide(self, cycle, jobs, busy_cores):
+    def decide(
+        self,
+        cycle: int,
+        requests: Mapping[int, CoherenceRequest],
+        writebacks: Collection[Writeback],
+    ) -> Optional[Union[CoherenceRequest, Writeback]]:
         """Grant at slot boundaries only; see the class docstring."""
-        if not jobs:
-            return ArbitrationDecision()
-        if cycle % self.slot_width != 0:
-            return ArbitrationDecision(wake_at=self.next_boundary(cycle))
-        by_core = _jobs_by_core(jobs)
-        owner = self.slot_owner(cycle)
-        if owner in by_core:
-            return ArbitrationDecision(job=_best_job(by_core[owner]))
-        cr_busy = any(c in busy_cores for c in self.critical_cores)
-        for core_id in list(self._ncr_order):
-            if core_id not in by_core:
-                continue
-            candidates = by_core[core_id]
-            if cr_busy:
-                # Non-critical *requests* are gated while any critical core
-                # has an outstanding request, but in-flight transactions
-                # (data responses, write-backs) must complete in idle slots
-                # — otherwise a critical core waiting on a handover to a
-                # non-critical requester would deadlock the bus.
-                candidates = [
-                    j for j in candidates if j.kind != JobKind.BROADCAST
-                ]
-            if candidates:
+        self.wake_at = None
+        if cycle % self.slot_width == 0:
+            job = self._slot_job(cycle, requests, writebacks)
+            if job is not None:
+                return job
+        if writebacks or _first_job(requests, requests, ()) is not None:
+            # Grantable work waits for a later slot.
+            self.wake_at = self.next_boundary(cycle)
+        return None
+
+    def _slot_job(
+        self,
+        cycle: int,
+        requests: Mapping[int, CoherenceRequest],
+        writebacks: Collection[Writeback],
+    ) -> Optional[Union[CoherenceRequest, Writeback]]:
+        """The job a slot boundary grants: the owner's, else slack."""
+        job = _first_job((self.slot_owner(cycle),), requests, writebacks)
+        if job is not None:
+            return job
+        cr_busy = any(c in requests for c in self.critical_cores)
+        queued = ReqState.QUEUED
+        for core_id in self._ncr_order:
+            job = _first_job((core_id,), requests, writebacks)
+            if (
+                cr_busy
+                and isinstance(job, CoherenceRequest)
+                and job.state is queued
+            ):
+                # Non-critical *requests* are gated while any critical
+                # core has an outstanding request, but in-flight
+                # transactions (data responses, write-backs) must
+                # complete in idle slots — otherwise a critical core
+                # waiting on a handover to a non-critical requester
+                # would deadlock the bus.
+                job = _oldest_writeback(core_id, writebacks)
+            if job is not None:
                 self._ncr_order.remove(core_id)
                 self._ncr_order.append(core_id)
-                return ArbitrationDecision(job=_best_job(candidates))
-        return ArbitrationDecision(wake_at=self.next_boundary(cycle))
+                return job
+        return None
 
 
 def build_arbiter(config: SimConfig) -> Arbiter:

@@ -23,13 +23,13 @@ DRAM fetches, back-invalidations — is published on the system's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Set, ValuesView
 
 from repro.params import SimConfig
 from repro.sim.dram import FixedLatencyDRAM
 from repro.sim.kernel import PHASE_EFFECT
 from repro.sim.llc import SharedLLC
-from repro.sim.messages import BusJob, JobKind, Writeback
+from repro.sim.messages import Writeback
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.system import System
@@ -48,8 +48,9 @@ class MemoryBackend:
         self.llc = llc
         #: line address → buffered dirty-eviction write-back.
         self._wbs: Dict[int, Writeback] = {}
-        #: lines whose write-back currently occupies the shared bus.
-        self._wb_inflight: Set[int] = set()
+        #: line address → write-back waiting for a shared-bus slot
+        #: (``wb_on_bus`` only), oldest first; it leaves when granted.
+        self._bus_queue: Dict[int, Writeback] = {}
 
     def attach(self, system: "System") -> None:
         """Wire the backend into a system (kernel, events, engine)."""
@@ -103,6 +104,7 @@ class MemoryBackend:
             "writeback", core=core_id, line=line_addr, on_bus=self.config.wb_on_bus
         )
         if self.config.wb_on_bus:
+            self._bus_queue[line_addr] = wb
             system.request_arbitration()
         else:
             # Dedicated write-back port: completes after the data latency.
@@ -133,26 +135,20 @@ class MemoryBackend:
         (:mod:`repro.obs.metrics`)."""
         return len(self._wbs)
 
-    def bus_jobs(self) -> List[BusJob]:
-        """Grantable write-back jobs (``wb_on_bus`` discipline only)."""
-        if not self.config.wb_on_bus:
-            return []
-        return [
-            BusJob(JobKind.WRITEBACK, wb.core_id, wb.seq, wb=wb)
-            for line_addr, wb in self._wbs.items()
-            if line_addr not in self._wb_inflight
-        ]
+    def bus_writebacks(self) -> ValuesView[Writeback]:
+        """Live view of the write-backs waiting for a shared-bus slot,
+        oldest first (always empty without ``wb_on_bus``)."""
+        return self._bus_queue.values()
 
     def mark_inflight(self, wb: Writeback) -> None:
         """The arbiter granted this write-back a bus slot."""
-        self._wb_inflight.add(wb.line_addr)
+        del self._bus_queue[wb.line_addr]
 
     def on_wb_done(self, wb: Writeback) -> None:
         """A write-back drained: commit the version and release waiters."""
         system = self.system
         self.llc.write_version(wb.line_addr, wb.version, system.kernel.now)
         self._wbs.pop(wb.line_addr, None)
-        self._wb_inflight.discard(wb.line_addr)
         system.events.emit("wb_done", core=wb.core_id, line=wb.line_addr)
         system.engine.update_line(wb.line_addr)
 

@@ -12,9 +12,9 @@ instead (with a correspondingly extended analytical bound, see
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
-from repro.sim.messages import BusJob
+from repro.sim.messages import CoherenceRequest, Writeback
 
 
 class SharedBus:
@@ -25,38 +25,46 @@ class SharedBus:
     one, so a fault-injected stall overlapping an in-flight transfer does
     not make the engine's perfectly timed release look early.  A
     ``_stall_until`` horizon records injected occupancy; grants honour
-    whichever horizon is later.
+    whichever horizon is later, kept in :attr:`busy_until`.
     """
+
+    __slots__ = ("_job_done", "_stall_until", "_current", "busy_until")
 
     def __init__(self) -> None:
         self._job_done = 0
         self._stall_until = 0
-        self._current: Optional[BusJob] = None
+        #: The request (broadcast or data transfer) or the write-back
+        #: holding the bus.
+        self._current: Optional[Union[CoherenceRequest, Writeback]] = None
+        #: First cycle at which a new grant may happen (the later of the
+        #: job and stall horizons; kept current by grant and stall).
+        self.busy_until = 0
 
     def idle(self, now: int) -> bool:
         """Whether the bus can accept a grant at ``now``."""
         return now >= self.busy_until
 
     @property
-    def current_job(self) -> Optional[BusJob]:
+    def current_job(self) -> Optional[Union[CoherenceRequest, Writeback]]:
+        """The request or write-back holding the bus, or None."""
         return self._current
 
-    @property
-    def busy_until(self) -> int:
-        """First cycle at which a new grant may happen."""
-        return max(self._job_done, self._stall_until)
+    def grant(
+        self, job: Union[CoherenceRequest, Writeback], now: int, duration: int
+    ) -> int:
+        """Occupy the bus with ``job``; returns the completion cycle.
 
-    def grant(self, job: BusJob, now: int, duration: int) -> int:
-        """Occupy the bus with ``job``; returns the completion cycle."""
-        if not self.idle(now):
+        The grant happens at or after :attr:`busy_until`, which is past
+        any stall, so the job's completion is the new horizon."""
+        if now < self.busy_until:
             raise RuntimeError(
                 f"bus grant at cycle {now} while busy until {self.busy_until}"
             )
         if duration < 1:
             raise ValueError("bus occupancy must be at least one cycle")
-        self._job_done = now + duration
+        done = self.busy_until = self._job_done = now + duration
         self._current = job
-        return self._job_done
+        return done
 
     def release(self, now: int) -> None:
         """Called by the engine when the current job completes.
@@ -83,4 +91,5 @@ class SharedBus:
         if duration < 1:
             raise ValueError("bus stall must be at least one cycle")
         self._stall_until = max(self._stall_until, now + duration)
+        self.busy_until = max(self._job_done, self._stall_until)
         return self.busy_until

@@ -65,6 +65,13 @@ class ProtocolEngine:
         self._via_llc = system.protocol.via_llc(system.config.via_llc_transfers)
         #: core id → its single outstanding request.
         self.requests: Dict[int, CoherenceRequest] = {}
+        #: Each cache with its slot list: the snoop and readiness scans
+        #: read a line's slot directly (every L1 shares one geometry).
+        self._slots: List[Tuple[PrivateCache, List[CacheLine]]] = [
+            (cache, cache.array._lines) for cache in self.caches
+        ]
+        self._set_mask = self.caches[0].array._set_mask
+        self._core_stats = system.stats.cores
         self._line_reqs: Dict[int, List[CoherenceRequest]] = {}
         self._transfer_source: Optional[Tuple[int, int]] = None
         #: Line address of the in-flight data transfer (any source); the
@@ -86,29 +93,26 @@ class ProtocolEngine:
             line_addr=line_addr,
             kind=outcome.req_kind,
             op=op,
-            issue_cycle=self.kernel.now,
+            issue_cycle=self.kernel._now,
         )
         self.requests[core_id] = req
-        self.events.emit(
-            "miss", core=core_id, line=line_addr, req_kind=req.kind.name,
-            req_id=req.req_id,
-        )
+        events = self.events
+        if events.wants("miss"):
+            events.emit(
+                "miss", core=core_id, line=line_addr, req_kind=req.kind.name,
+                req_id=req.req_id,
+            )
+        else:
+            events.emit("miss")  # counted; nobody reads a payload
         system.request_arbitration()
         return req
 
     # --------------------------------------------------------------- snooping
 
-    def _waiting_reqs(self, line_addr: int) -> List[CoherenceRequest]:
-        return [
-            r
-            for r in self._line_reqs.get(line_addr, [])
-            if r.state in (ReqState.WAITING, ReqState.TRANSFERRING)
-        ]
-
     def on_broadcast_done(self, req: CoherenceRequest) -> None:
         """The request's broadcast bus slot completed: start waiting."""
         req.state = ReqState.WAITING
-        req.broadcast_cycle = self.kernel.now
+        req.broadcast_cycle = self.kernel._now
         self._line_reqs.setdefault(req.line_addr, []).append(req)
         if req.kind == ReqKind.UPG and self._earlier_writer_waiting(req):
             # Bus order: an ownership request broadcast before this upgrade
@@ -135,24 +139,42 @@ class ProtocolEngine:
         while remaining the data source (MSI owners), or arm the
         countdown-counter expiry per Figure 3 (timed copies).
         """
-        reqs = self._waiting_reqs(line_addr)
-        if not reqs:
+        line_reqs = self._line_reqs.get(line_addr)
+        if not line_reqs:
             return
-        now = self.kernel.now
+        waiting = ReqState.WAITING
+        transferring = ReqState.TRANSFERRING
+        gets = ReqKind.GETS
+        # Cores whose waiting request wants ownership (GetM/Upg) or a
+        # shared copy (GetS); one core may appear once at most.
+        writers = []
+        readers = []
+        for r in line_reqs:
+            state = r.state
+            if state is waiting or state is transferring:
+                if r.kind is gets:
+                    readers.append(r.core_id)
+                else:
+                    writers.append(r.core_id)
+        if not writers and not readers:
+            return
+        now = self.kernel._now
         protocol = self.protocol
-        for cache in self.caches:
-            copy = cache.lookup(line_addr)
-            if copy is None or not copy.valid:
+        index = line_addr & self._set_mask
+        modified = LineState.M
+        for cache, lines in self._slots:
+            copy = lines[index]
+            state = copy.state
+            if not state or copy.line_addr != line_addr:
                 continue
             cid = cache.core_id
-            writer = any(r.wants_ownership and r.core_id != cid for r in reqs)
-            reader = copy.state == LineState.M and any(
-                r.kind == ReqKind.GETS and r.core_id != cid for r in reqs
-            )
+            # A request of another core conflicts (its own does not).
+            writer = len(writers) > writers.count(cid)
+            reader = state == modified and len(readers) > readers.count(cid)
             if not writer and not reader:
                 continue
             downgrade = reader and not writer
-            action = protocol.snoop_action(cache, copy.state)
+            action = protocol.snoop_action(cache, state)
             if action is SnoopAction.INVALIDATE:
                 # A snooping MSI core gives up a shared copy at once.
                 copy.invalidate()
@@ -192,7 +214,7 @@ class ProtocolEngine:
             return
         if copy.pending_inv_since is None or copy.inv_at is None:
             return
-        now = self.kernel.now
+        now = self.kernel._now
         if now < copy.inv_at:
             return
         if self._transfer_source == (core_id, line_addr):
@@ -222,11 +244,13 @@ class ProtocolEngine:
     def update_line(self, line_addr: int) -> None:
         """Re-evaluate readiness of every waiting request for the line."""
         self._update_line_inner(line_addr)
-        if any(
-            r.state == ReqState.WAITING and r.ready
-            for r in self._line_reqs.get(line_addr, [])
-        ):
-            self.system.request_arbitration()
+        line_reqs = self._line_reqs.get(line_addr)
+        if line_reqs:
+            waiting = ReqState.WAITING
+            for r in line_reqs:
+                if r.ready and r.state is waiting:
+                    self.system.request_arbitration()
+                    return
 
     def _update_line_inner(self, line_addr: int) -> None:
         # The dict entry is only ever mutated in place (never replaced),
@@ -234,17 +258,19 @@ class ProtocolEngine:
         all_reqs = self._line_reqs.get(line_addr)
         if not all_reqs:
             return
-        caches = self.caches
+        slots = self._slots
+        index = line_addr & self._set_mask
         waiting_state = ReqState.WAITING
         transferring_state = ReqState.TRANSFERRING
+        modified = LineState.M
         while True:
             reqs = []
             transfer_in_flight = False
             for r in all_reqs:
                 state = r.state
-                if state == waiting_state:
+                if state is waiting_state:
                     reqs.append(r)
-                elif state == transferring_state:
+                elif state is transferring_state:
                     transfer_in_flight = True
             if not reqs:
                 return
@@ -255,11 +281,11 @@ class ProtocolEngine:
                 return
             copies = []
             owner = None
-            for cache in caches:
-                copy = cache.lookup(line_addr)
-                if copy is not None and copy.valid:
+            for cache, lines in slots:
+                copy = lines[index]
+                if copy.state and copy.line_addr == line_addr:
                     copies.append((cache, copy))
-                    if copy.state == LineState.M:
+                    if copy.state == modified:
                         assert owner is None, (
                             f"multiple owners of line {line_addr}"
                         )
@@ -270,7 +296,10 @@ class ProtocolEngine:
             # the older requester, exceeding the per-core θ_j budget of
             # Equation 1.  (Found twice by the property suite — once via
             # racing upgrades, once via a reader overtaking a writer.)
-            oldest = min(reqs, key=lambda r: (r.broadcast_cycle, r.req_id))
+            if len(reqs) == 1:
+                oldest = reqs[0]
+            else:
+                oldest = min(reqs, key=lambda r: (r.broadcast_cycle, r.req_id))
             if not self._evaluate_request(oldest, copies, owner):
                 return
 
@@ -361,12 +390,16 @@ class ProtocolEngine:
 
     def _earlier_writer_waiting(self, req: CoherenceRequest) -> bool:
         """An ownership request from another core was broadcast before ours."""
+        waiting = ReqState.WAITING
+        transferring = ReqState.TRANSFERRING
+        gets = ReqKind.GETS
         for other in self._line_reqs.get(req.line_addr, []):
             if other is req or other.core_id == req.core_id:
                 continue
-            if not other.wants_ownership:
-                continue
-            if other.state not in (ReqState.WAITING, ReqState.TRANSFERRING):
+            if other.kind is gets:
+                continue  # wants no ownership
+            state = other.state
+            if state is not waiting and state is not transferring:
                 continue
             if (other.broadcast_cycle, other.req_id) < (
                 req.broadcast_cycle,
@@ -414,12 +447,18 @@ class ProtocolEngine:
                 del self._line_reqs[req.line_addr]
 
     def _finish_request(self, req: CoherenceRequest, upgrade: bool) -> None:
-        now = self.kernel.now
-        self.events.emit(
-            "fill", core=req.core_id, line=req.line_addr,
-            req_kind=req.kind.name, latency=now - req.issue_cycle,
-            upgrade=upgrade, source=req.source,
-        )
+        now = self.kernel._now
+        latency = now - req.issue_cycle
+        self._core_stats[req.core_id].record_miss(latency, upgrade)
+        events = self.events
+        if events.wants("fill"):
+            events.emit(
+                "fill", core=req.core_id, line=req.line_addr,
+                req_kind=req.kind.name, latency=latency,
+                upgrade=upgrade, source=req.source,
+            )
+        else:
+            events.emit("fill")  # counted; nobody reads a payload
         req.state = ReqState.DONE
         req.complete_cycle = now
         self._on_broadcast_or_data_cleanup(req)
@@ -430,7 +469,7 @@ class ProtocolEngine:
     def _complete_upgrade(
         self, req: CoherenceRequest, cache: PrivateCache, own: CacheLine
     ) -> None:
-        now = self.kernel.now
+        now = self.kernel._now
         own.state = LineState.M
         own.fill_cycle = now  # ownership acquired: the timer restarts
         own.clear_pending()
@@ -441,7 +480,7 @@ class ProtocolEngine:
 
     def on_data_done(self, req: CoherenceRequest) -> None:
         """The data-transfer bus slot completed: fill and finish."""
-        now = self.kernel.now
+        now = self.kernel._now
         line_addr = req.line_addr
         self._transfer_source = None
         self.transfer_line = None

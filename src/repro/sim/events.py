@@ -16,15 +16,25 @@ collector); by-kind listeners are notified before subscribe-all
 listeners, mirroring the pre-bus ordering of stats updates relative to
 trace capture.
 
-Hot-path contract: per-access ``hit`` events vastly outnumber
-everything else (hits are typically ~99% of accesses), so they are only
-*materialised* when a subscriber asked for them — either a
-subscribe-all listener or an explicit by-kind subscription to
-``"hit"``.  The core layer checks the precomputed :attr:`EventBus.hot`
-flag before building a hit payload; all other kinds are always
-published.  Per-hit statistics therefore stay inline in
-:meth:`repro.sim.system.System.try_access` and the stats collector
-subscribes to the (rare) protocol kinds only.
+Hot-path contract: an emitter builds a payload only for a listener.
+
+* Per-access ``hit`` events vastly outnumber everything else (hits are
+  typically ~99% of accesses), so they are only *materialised* when a
+  subscriber asked for them — either a subscribe-all listener or an
+  explicit by-kind subscription to ``"hit"``.  The core layer checks the
+  precomputed :attr:`EventBus.hot` flag first; an unmaterialised hit is
+  not counted either.
+* The miss-path kinds ``miss``, ``grant`` and ``fill`` fire several
+  times per coherence request.  Their emitters ask :meth:`EventBus.wants`
+  and, when nobody listens, call ``emit(kind)`` without a payload, which
+  only counts the event: :attr:`EventBus.counts` still tallies every one.
+* All other kinds are rare and always published with their payload.
+
+The statistics these kinds feed stay out of the bus: per-hit counters
+are inline in :meth:`repro.sim.system.System.try_access`, and grants and
+completed misses are recorded by the system and the protocol engine
+directly, so the stats collector subscribes to the rare protocol kinds
+only.
 """
 
 from __future__ import annotations
@@ -146,6 +156,13 @@ class EventBus:
 
     def _refresh_hot(self) -> None:
         self.hot = bool(self._all) or "hit" in self._by_kind
+
+    def wants(self, kind: str) -> bool:
+        """Whether an event of ``kind`` published now reaches a listener.
+
+        Emitters of frequent kinds check this before building a payload
+        (see the module docstring)."""
+        return kind in self._by_kind or bool(self._all)
 
     @property
     def listeners(self) -> List[Listener]:

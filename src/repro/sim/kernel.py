@@ -20,6 +20,11 @@ additionally lets a core retire consecutive private-cache hits *inline*
 (without any heap traffic) whenever the event it would schedule is
 provably the next one to run — see :mod:`repro.sim.core` and
 ``docs/performance.md`` for the equivalence argument.
+
+:meth:`EventKernel.run` processes events until the heap drains or a
+handler calls :meth:`EventKernel.stop` — the system stops it when its
+last core finishes, so the loop reads one flag per event instead of
+asking a predicate.  Events still queued at that point never run.
 """
 
 from __future__ import annotations
@@ -42,13 +47,14 @@ class SimulationLimitError(RuntimeError):
 class EventKernel:
     """Priority-queue event loop with integer cycles and phases."""
 
-    __slots__ = ("_heap", "_now", "_seq", "_max_cycles")
+    __slots__ = ("_heap", "_now", "_seq", "_max_cycles", "_stopped")
 
     def __init__(self) -> None:
         self._heap: List[Tuple[int, int, int, Callable, tuple]] = []
         self._now = 0
         self._seq = 0
         self._max_cycles = _NO_LIMIT
+        self._stopped = False
 
     @property
     def now(self) -> int:
@@ -58,6 +64,11 @@ class EventKernel:
     @property
     def pending_events(self) -> int:
         return len(self._heap)
+
+    @property
+    def scheduled_events(self) -> int:
+        """Events scheduled over the kernel's life (heap pushes)."""
+        return self._seq
 
     def schedule(self, cycle: int, phase: int, fn: Callable, *args) -> None:
         """Schedule ``fn(*args)`` to run at ``cycle`` in ``phase``."""
@@ -90,8 +101,17 @@ class EventKernel:
         self._now = cycle
         return True
 
-    def run(self, max_cycles: int, until: Callable[[], bool]) -> int:
-        """Process events until ``until()`` holds or the heap drains.
+    def stop(self) -> None:
+        """End :meth:`run` before its next event.
+
+        Called from inside a handler (the system calls it when its last
+        core finishes); the handler itself runs to completion.  Called
+        before :meth:`run`, the run processes no event at all.
+        """
+        self._stopped = True
+
+    def run(self, max_cycles: int) -> int:
+        """Process events until :meth:`stop` is called or the heap drains.
 
         Returns the final cycle.  Raises :class:`SimulationLimitError` when
         the clock passes ``max_cycles``.
@@ -100,7 +120,7 @@ class EventKernel:
         heap = self._heap
         pop = heapq.heappop
         try:
-            while heap and not until():
+            while heap and not self._stopped:
                 cycle, _phase, _seq, fn, args = pop(heap)
                 if cycle > max_cycles:
                     raise SimulationLimitError(
@@ -110,4 +130,5 @@ class EventKernel:
                 fn(*args)
         finally:
             self._max_cycles = _NO_LIMIT
+            self._stopped = False
         return self._now

@@ -119,13 +119,13 @@ class LockstepKernel(EventKernel):
         #: Key of the event being executed: ``(cycle, phase, seq)``.
         self.current_key: Tuple[int, int, int] = (-1, -1, 0)
 
-    def run(self, max_cycles, until):
+    def run(self, max_cycles: int) -> int:
         """Seed-identical event loop that records ``current_key`` per pop."""
         self._max_cycles = max_cycles
         heap = self._heap
         pop = heapq.heappop
         try:
-            while heap and not until():
+            while heap and not self._stopped:
                 cycle, phase, seq, fn, args = pop(heap)
                 if cycle > max_cycles:
                     raise SimulationLimitError(
@@ -136,6 +136,7 @@ class LockstepKernel(EventKernel):
                 fn(*args)
         finally:
             self._max_cycles = _NO_LIMIT
+            self._stopped = False
         return self._now
 
 

@@ -1,10 +1,15 @@
-"""Coherence requests and bus jobs exchanged between simulator components."""
+"""Coherence requests and write-backs exchanged between simulator components.
+
+Both are what the arbiter grants the shared bus to: a request for its
+broadcast (while ``QUEUED``) or its data transfer (``WAITING`` and
+``ready``), a write-back for its drain to the LLC (``wb_on_bus`` only).
+"""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.params import MemOp
 
@@ -49,10 +54,6 @@ class CoherenceRequest:
     complete_cycle: Optional[int] = None
     #: For the non-perfect LLC: a DRAM fetch for this line is in flight.
     dram_pending: bool = False
-    #: Lazily built arbitration jobs, reused across rounds (the job
-    #: fields are invariant per request; see ``System._collect_jobs``).
-    bcast_job: Optional["BusJob"] = None
-    data_job: Optional["BusJob"] = None
 
     @property
     def wants_ownership(self) -> bool:
@@ -71,14 +72,6 @@ class CoherenceRequest:
         )
 
 
-class JobKind(enum.IntEnum):
-    """Bus occupancy job kinds, in descending per-core grant priority."""
-
-    DATA = 0       #: data transfer for a ready request (L_data cycles).
-    BROADCAST = 1  #: request broadcast (L_request cycles).
-    WRITEBACK = 2  #: eviction write-back to the LLC (L_data cycles).
-
-
 @dataclass
 class Writeback:
     """A buffered dirty-eviction write-back."""
@@ -88,24 +81,3 @@ class Writeback:
     version: int
     created_cycle: int
     seq: int = 0
-
-
-@dataclass
-class BusJob:
-    """One grantable unit of bus occupancy."""
-
-    kind: JobKind
-    core_id: int
-    seq: int
-    req: Optional[CoherenceRequest] = None
-    wb: Optional[Writeback] = None
-
-    def __post_init__(self) -> None:
-        if self.kind in (JobKind.DATA, JobKind.BROADCAST) and self.req is None:
-            raise ValueError(f"{self.kind.name} job requires a request")
-        if self.kind == JobKind.WRITEBACK and self.wb is None:
-            raise ValueError("WRITEBACK job requires a Writeback")
-
-    def __repr__(self) -> str:
-        body: Union[CoherenceRequest, Writeback, None] = self.req or self.wb
-        return f"BusJob({self.kind.name}, c{self.core_id}, {body})"

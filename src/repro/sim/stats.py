@@ -4,13 +4,16 @@ The quantities the paper's evaluation reports are all derived from these
 counters: experimental WCML (total memory latency of a task), per-request
 worst-case latency, hit/miss counts, and overall execution time.
 
-Protocol-level counters (grants, fills, timer expiries, write-backs,
-DRAM fetches, back-invalidations, mode switches) are fed by
+The counters of the miss path are updated where it runs: the system
+records each bus grant (:meth:`SystemStats.record_grant`) and the
+protocol engine each completed request (:meth:`CoreStats.record_miss`),
+and the per-*hit* counters stay inline in the access fast path.  The
+rare protocol-level counters (timer expiries, write-backs, DRAM
+fetches, back-invalidations, mode switches) are fed by
 :class:`StatsCollector`, an ordinary subscriber of the system's
-:class:`~repro.sim.events.EventBus` — the engine layers never update
-them directly.  Only the per-*hit* counters stay inline in the access
-fast path (hits are ~99% of accesses; see the event-bus module
-docstring for the hot-path contract).
+:class:`~repro.sim.events.EventBus`.  So no event has to be built for
+the statistics of a run (see the event-bus module docstring for the
+hot-path contract).
 """
 
 from __future__ import annotations
@@ -144,14 +147,12 @@ class StatsCollector:
     """Feeds a :class:`SystemStats` from the simulator event bus.
 
     One instance subscribes, by kind, to exactly the (rare) protocol
-    events the legacy counters need; per-hit statistics remain inline in
-    the access fast path and are *not* routed through the bus.
+    events the legacy counters need; hits, grants and completed misses
+    are recorded where they happen and are *not* routed through the bus.
     """
 
     #: Event kinds this collector consumes.
     KINDS = (
-        "grant",
-        "fill",
         "timer_expiry",
         "writeback",
         "dram_fetch",
@@ -162,8 +163,6 @@ class StatsCollector:
     def __init__(self, stats: SystemStats) -> None:
         self.stats = stats
         self._handlers = {
-            "grant": self._on_grant,
-            "fill": self._on_fill,
             "timer_expiry": self._on_timer_expiry,
             "writeback": self._on_writeback,
             "dram_fetch": self._on_dram_fetch,
@@ -181,14 +180,6 @@ class StatsCollector:
         self._handlers[kind](payload)
 
     # -- per-kind handlers -------------------------------------------------
-
-    def _on_grant(self, payload: Dict[str, Any]) -> None:
-        self.stats.record_grant(payload["job"], payload["duration"])
-
-    def _on_fill(self, payload: Dict[str, Any]) -> None:
-        self.stats.cores[payload["core"]].record_miss(
-            latency=payload["latency"], upgrade=payload["upgrade"]
-        )
 
     def _on_timer_expiry(self, payload: Dict[str, Any]) -> None:
         self.stats.timer_expiries += 1

@@ -28,7 +28,16 @@ activity happens at integer cycles, ordered by the phases of
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fi.injector import FaultInjector
@@ -49,7 +58,7 @@ from repro.sim.kernel import (
     EventKernel,
 )
 from repro.sim.llc import SharedLLC
-from repro.sim.messages import BusJob, JobKind, ReqState, Writeback
+from repro.sim.messages import CoherenceRequest, ReqState, Writeback
 from repro.sim.oracle import CoherenceOracle, CoherenceViolationError
 from repro.sim.private_cache import AccessOutcome, PrivateCache
 from repro.sim.protocols import get_protocol
@@ -102,6 +111,15 @@ class System:
         self.caches: List[PrivateCache] = [
             self._make_cache(i) for i in range(config.num_cores)
         ]
+        self.stats = SystemStats(
+            cores=[
+                CoreStats(
+                    core_id=i,
+                    request_latencies=[] if record_latencies else None,
+                )
+                for i in range(config.num_cores)
+            ]
+        )
         #: Operating mode last programmed through :meth:`switch_mode`
         #: (None until the first run-time switch; Section VI).
         self.current_mode: Optional[int] = None
@@ -115,15 +133,6 @@ class System:
             self._make_core(i, traces[i], fast_path)
             for i in range(config.num_cores)
         ]
-        self.stats = SystemStats(
-            cores=[
-                CoreStats(
-                    core_id=i,
-                    request_latencies=[] if record_latencies else None,
-                )
-                for i in range(config.num_cores)
-            ]
-        )
         StatsCollector(self.stats).attach(self.events)
         # Hot-path shortcuts (avoid per-access attribute chains).
         self._core_stats: List[CoreStats] = self.stats.cores
@@ -134,6 +143,13 @@ class System:
         #: The protocol's HIT set matches the inlined hit predicate below;
         #: exotic protocols fall back to the general classify() per access.
         self._std_hits = self.protocol.uses_standard_hits()
+
+        # Arbitration reads the engine's request table and the backend's
+        # bus write-back queue in place (both live for the whole run).
+        self._requests = self.engine.requests
+        self._bus_writebacks = self.backend.bus_writebacks()
+        self._request_latency = config.latencies.request
+        self._data_latency = config.latencies.data
 
         self._seq = 0
         self._arb_scheduled_at: Optional[int] = None
@@ -209,10 +225,7 @@ class System:
         self._started = True
         for core in self.cores:
             core.start()
-        self.kernel.run(
-            self.config.max_cycles,
-            until=lambda: self._done_count >= len(self.cores),
-        )
+        self.kernel.run(self.config.max_cycles)
         self.stats.final_cycle = self.kernel.now
         if self.engine.requests:
             raise RuntimeError(
@@ -289,99 +302,101 @@ class System:
         return False
 
     def on_core_done(self, core_id: int, cycle: int) -> None:
-        """Core callback: the core retired its last access at ``cycle``."""
+        """Core callback: the core retired its last access at ``cycle``.
+
+        The last core to finish stops the kernel: events still queued
+        then (stale timers, an idle arbitration round) never run."""
         self.stats.core(core_id).finish_cycle = cycle
         self._done_count += 1
+        if self._done_count == len(self.cores):
+            self.kernel.stop()
 
     # ------------------------------------------------------------ arbitration
 
     def request_arbitration(self, at: Optional[int] = None) -> None:
-        """Schedule an arbitration round (idempotent per cycle)."""
-        t = self.kernel.now if at is None else at
-        if self._arb_scheduled_at is not None and self._arb_scheduled_at <= t:
+        """Schedule an arbitration round at the first cycle it can grant.
+
+        The round lands at ``at`` (default: now) or at the bus's
+        ``busy_until`` (stall horizon included), whichever is later: a
+        round while the bus is busy could only re-arm itself.  Idempotent:
+        a round already scheduled at or before that cycle covers this
+        request too (it re-arms if it finds the bus busy).
+        """
+        t = self.kernel._now if at is None else at
+        free = self.bus.busy_until
+        if free > t:
+            t = free
+        scheduled = self._arb_scheduled_at
+        if scheduled is not None and scheduled <= t:
             return
         self._arb_scheduled_at = t
         self.kernel.schedule(t, PHASE_ARBITRATE, self._arbitrate)
 
-    def _collect_jobs(self) -> List[BusJob]:
-        jobs: List[BusJob] = []
-        for req in self.engine.requests.values():
-            if req.state == ReqState.QUEUED:
-                job = req.bcast_job
-                if job is None:
-                    job = req.bcast_job = BusJob(
-                        JobKind.BROADCAST, req.core_id, req.req_id, req=req
-                    )
-                jobs.append(job)
-            elif req.state == ReqState.WAITING and req.ready:
-                job = req.data_job
-                if job is None:
-                    job = req.data_job = BusJob(
-                        JobKind.DATA, req.core_id, req.req_id, req=req
-                    )
-                jobs.append(job)
-        jobs.extend(self.backend.bus_jobs())
-        return jobs
-
     def _arbitrate(self) -> None:
-        now = self.kernel.now
+        now = self.kernel._now
         # Consume the dedup marker only when this round is the recorded
         # one; a duplicate round must leave a still-pending future marker
         # alone or every duplicate would re-schedule its own successor.
-        if self._arb_scheduled_at is not None and self._arb_scheduled_at <= now:
+        scheduled = self._arb_scheduled_at
+        if scheduled is not None and scheduled <= now:
             self._arb_scheduled_at = None
-        if not self.bus.idle(now):
-            # Re-arm for the cycle the bus frees up.  Grant completions
-            # re-request arbitration themselves, so this only matters when
-            # the bus is held past the current job by an injected stall —
-            # without it, a round that lands inside the stall window would
-            # silently swallow the pending request.
-            self.request_arbitration(at=self.bus.busy_until)
+        if now < self.bus.busy_until:
+            # The bus was taken after this round was scheduled: by a
+            # grant of an earlier round, or by a stall that repro.fi
+            # injected.  Re-arm for the cycle it frees up — without this,
+            # the round would silently swallow the pending request.
+            self.request_arbitration()
             return
-        jobs = self._collect_jobs()
-        if not jobs:
-            return
-        busy_cores = set(self.engine.requests.keys())
-        decision = self.arbiter.decide(now, jobs, busy_cores)
-        if decision.job is None:
-            if decision.wake_at is not None and decision.wake_at > now:
-                self.request_arbitration(at=decision.wake_at)
-            return
-        self._grant(decision.job)
+        arbiter = self.arbiter
+        job = arbiter.decide(now, self._requests, self._bus_writebacks)
+        if job is not None:
+            self._grant(job)
+        elif arbiter.wake_at is not None and arbiter.wake_at > now:
+            self.request_arbitration(at=arbiter.wake_at)
 
-    def _grant(self, job: BusJob) -> None:
-        now = self.kernel.now
-        lat = self.config.latencies
-        if job.kind == JobKind.BROADCAST:
-            req = job.req
-            assert req.state == ReqState.QUEUED
-            req.state = ReqState.BROADCASTING
-            duration = lat.request
-            handler, payload = self.engine.on_broadcast_done, req
-        elif job.kind == JobKind.DATA:
-            req = job.req
-            self.engine.begin_transfer(req)
-            duration = lat.data
-            handler, payload = self.engine.on_data_done, req
-        else:  # WRITEBACK on the shared bus
-            wb = job.wb
-            self.backend.mark_inflight(wb)
-            duration = lat.data
-            handler, payload = self._on_bus_wb_done, wb
+    def _grant(self, job: Union[CoherenceRequest, Writeback]) -> None:
+        """Give the bus to ``job``: a request's broadcast (while it is
+        queued) or data transfer, or a write-back's drain."""
+        now = self.kernel._now
+        engine = self.engine
+        handler: Callable[[Any], None]
+        if isinstance(job, Writeback):
+            self.backend.mark_inflight(job)
+            kind, duration, handler = (
+                "WRITEBACK", self._data_latency, self._on_bus_wb_done
+            )
+        elif job.state is ReqState.QUEUED:
+            job.state = ReqState.BROADCASTING
+            kind, duration, handler = (
+                "BROADCAST", self._request_latency, engine.on_broadcast_done
+            )
+        else:
+            engine.begin_transfer(job)
+            kind, duration, handler = (
+                "DATA", self._data_latency, engine.on_data_done
+            )
         done_at = self.bus.grant(job, now, duration)
-        self.events.emit(
-            "grant", job=job.kind.name, core=job.core_id,
-            line=(job.req.line_addr if job.req else job.wb.line_addr),
-            duration=duration, until=done_at,
-        )
+        self.stats.record_grant(kind, duration)
+        events = self.events
+        if events.wants("grant"):
+            events.emit(
+                "grant", job=kind, core=job.core_id, line=job.line_addr,
+                duration=duration, until=done_at,
+            )
+        else:
+            events.emit("grant")  # counted; nobody reads a payload
         self.kernel.schedule(
-            done_at, PHASE_EFFECT, self._complete_grant, handler, payload
+            done_at, PHASE_EFFECT, self._complete_grant, handler, job
         )
 
-    def _complete_grant(self, handler, payload) -> None:
+    def _complete_grant(
+        self,
+        handler: Callable[[Any], None],
+        job: Union[CoherenceRequest, Writeback],
+    ) -> None:
         """Bus transaction finished: release the bus and run its handler."""
-        self.bus.release(self.kernel.now)
-        handler(payload)
+        self.bus.release(self.kernel._now)
+        handler(job)
         self.request_arbitration()
 
     def _on_bus_wb_done(self, wb: Writeback) -> None:

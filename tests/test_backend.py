@@ -65,7 +65,7 @@ class TestPerfectBackend:
         assert backend.has_pending_writeback(5)
         assert not backend.ready_for_read(5)
         assert backend.ready_for_read(6)
-        system.kernel.run(max_cycles=1000, until=lambda: False)
+        system.kernel.run(max_cycles=1000)
         assert not backend.has_pending_writeback(5)
         assert backend.ready_for_read(5)
         assert backend.version(5) == 3
@@ -128,7 +128,7 @@ class TestDRAMBackend:
         assert system.events.counts["dram_fetch"] == 1
         assert not backend.ready_for_read(0)  # no duplicate fetch
         assert system.events.counts["dram_fetch"] == 1
-        system.kernel.run(max_cycles=1000, until=lambda: False)
+        system.kernel.run(max_cycles=1000)
         assert backend.ready_for_read(0)
 
     def test_llc_eviction_back_invalidates_l1_copies(self):

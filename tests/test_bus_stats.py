@@ -4,16 +4,16 @@ import pytest
 
 from repro.params import MemOp
 from repro.sim.bus import SharedBus
-from repro.sim.messages import BusJob, CoherenceRequest, JobKind, ReqKind, Writeback
+from repro.sim.messages import CoherenceRequest, ReqKind
 from repro.sim.stats import CoreStats, SystemStats
 
 
 def job():
-    req = CoherenceRequest(
+    """A request to grant the bus to (for its broadcast)."""
+    return CoherenceRequest(
         req_id=1, core_id=0, line_addr=0, kind=ReqKind.GETS,
         op=MemOp.LOAD, issue_cycle=0,
     )
-    return BusJob(JobKind.BROADCAST, 0, 1, req=req)
 
 
 class TestSharedBus:
@@ -89,16 +89,6 @@ class TestSharedBus:
 
 
 class TestMessages:
-    def test_data_job_requires_request(self):
-        with pytest.raises(ValueError):
-            BusJob(JobKind.DATA, 0, 1)
-
-    def test_wb_job_requires_writeback(self):
-        with pytest.raises(ValueError):
-            BusJob(JobKind.WRITEBACK, 0, 1)
-        wb = Writeback(core_id=0, line_addr=1, version=2, created_cycle=0, seq=1)
-        BusJob(JobKind.WRITEBACK, 0, 1, wb=wb)  # ok
-
     def test_request_latency_requires_completion(self):
         req = CoherenceRequest(
             req_id=1, core_id=0, line_addr=0, kind=ReqKind.GETM,

@@ -318,6 +318,39 @@ class TestManifestOut:
         assert (manifest.kind, manifest.engine) == ("optimize", "fast")
 
 
+class TestSimulateManifestEnvironment:
+    """``simulate --manifest-out`` records host time and work, unfingerprinted."""
+
+    KEYS = ("host_cpu_s", "accesses_per_s", "kernel_events")
+
+    def simulate(self, tmp_path, name):
+        from repro.qa import load_manifest
+
+        path = tmp_path / name
+        assert main([
+            "simulate", "-b", "fft", "-t", "100", "20", "20", "20",
+            "--scale", "0.1", "--manifest-out", str(path),
+        ]) == 0
+        return load_manifest(str(path))
+
+    def test_host_time_and_work_are_recorded(self, tmp_path):
+        env = self.simulate(tmp_path, "a.json").environment
+        assert env["host_cpu_s"] > 0
+        assert env["accesses_per_s"] > 0
+        assert isinstance(env["kernel_events"], int)
+        assert env["kernel_events"] > 0
+
+    def test_values_stay_out_of_the_fingerprint(self, tmp_path):
+        a = self.simulate(tmp_path, "a.json")
+        b = self.simulate(tmp_path, "b.json")
+        assert a.environment["kernel_events"] == b.environment["kernel_events"]
+        assert a.fingerprint() == b.fingerprint()
+        # Runs that differ only in these values fingerprint the same.
+        for key in self.KEYS:
+            b.environment[key] *= 3
+        assert a.fingerprint() == b.fingerprint()
+
+
 class TestFaultsCommand:
     def test_faults_small_campaign(self, capsys, tmp_path):
         import json

@@ -1,6 +1,10 @@
 """Unit tests for the unified event bus (repro.sim.events)."""
 
-from repro.params import cohort_config
+import pytest
+
+from repro.params import cohort_config, pendulum_config
+from repro.runner import stats_to_dict
+from repro.sim.debug import ProtocolTracer
 from repro.sim.events import (
     EVENT_KINDS,
     LAYER_OF,
@@ -114,7 +118,7 @@ class TestSubscriptions:
         bus = EventBus(kernel)
         rec = bus.subscribe(Recorder())
         kernel.schedule(7, 0, lambda: bus.emit("fill", core=0))
-        kernel.run(max_cycles=100, until=lambda: False)
+        kernel.run(max_cycles=100)
         assert rec.seen == [(7, "fill", {"core": 0})]
 
 
@@ -208,3 +212,64 @@ class TestSystemIntegration:
         hit_events = [e for e in rec.seen if e[1] == "hit"]
         assert len(hit_events) == hot_stats.core(0).hits
         assert hot.events.counts["hit"] == hot_stats.core(0).hits
+
+
+class TestMissPathEmissionGate:
+    """``miss``/``grant``/``fill`` payloads are built only for listeners,
+    yet every event is counted and the run is the same either way."""
+
+    #: The payload keys each gated kind carries.
+    PAYLOAD_KEYS = {
+        "miss": {"core", "line", "req_kind", "req_id"},
+        "grant": {"job", "core", "line", "duration", "until"},
+        "fill": {"core", "line", "req_kind", "latency", "upgrade", "source"},
+    }
+
+    CONFIGS = {
+        "cohort": lambda: cohort_config([20, 60, -1, 300], wb_on_bus=True),
+        "pendulum": lambda: pendulum_config([True, True, False, False]),
+    }
+
+    @staticmethod
+    def run(make_config, attach):
+        traces = splash_traces("fft", 4, scale=0.3, seed=1)
+        system = System(make_config(), traces)
+        listener = attach(system)
+        return system, stats_to_dict(system.run()), listener
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_listeners_see_every_counted_event(self, name):
+        make_config = self.CONFIGS[name]
+
+        def by_kind(system):
+            recorders = {kind: Recorder() for kind in self.PAYLOAD_KEYS}
+            for kind, rec in recorders.items():
+                system.events.subscribe(rec, kinds=(kind,))
+            return recorders
+
+        quiet, quiet_stats, _ = self.run(make_config, lambda s: None)
+        keyed, keyed_stats, recorders = self.run(make_config, by_kind)
+        traced, traced_stats, tracer = self.run(
+            make_config, ProtocolTracer.attach
+        )
+
+        assert keyed_stats == quiet_stats
+        assert traced_stats == quiet_stats
+        assert keyed.stats.layer_counts() == quiet.stats.layer_counts()
+        # A subscribe-all listener also materialises (and so counts) the
+        # per-access hit events; every other count is the same.
+        traced_counts = dict(traced.events.counts)
+        assert traced_counts.pop("hit") == sum(
+            core["hits"] for core in quiet_stats["cores"]
+        )
+        assert traced_counts == quiet.events.counts
+
+        for kind, keys in self.PAYLOAD_KEYS.items():
+            count = quiet.events.counts[kind]
+            assert count > 0
+            seen = recorders[kind].seen
+            assert len(seen) == count
+            assert all(set(payload) == keys for _, _, payload in seen)
+            traced_kind = [e for e in tracer.events if e.kind == kind]
+            assert len(traced_kind) == count
+            assert all(set(e.payload) == keys for e in traced_kind)
