@@ -145,10 +145,11 @@ class ProtocolEngine:
         waiting = ReqState.WAITING
         transferring = ReqState.TRANSFERRING
         gets = ReqKind.GETS
-        # Cores whose waiting request wants ownership (GetM/Upg) or a
-        # shared copy (GetS); one core may appear once at most.
-        writers = []
-        readers = []
+        # Cores whose waiting request wants ownership (GetM/Upg: not
+        # GetS) or a shared copy (GetS); a core has one request, so it
+        # appears once at most.
+        writers: List[int] = []
+        readers: List[int] = []
         for r in line_reqs:
             state = r.state
             if state is waiting or state is transferring:
@@ -392,12 +393,11 @@ class ProtocolEngine:
         """An ownership request from another core was broadcast before ours."""
         waiting = ReqState.WAITING
         transferring = ReqState.TRANSFERRING
-        gets = ReqKind.GETS
         for other in self._line_reqs.get(req.line_addr, []):
             if other is req or other.core_id == req.core_id:
                 continue
-            if other.kind is gets:
-                continue  # wants no ownership
+            if not other.wants_ownership:
+                continue
             state = other.state
             if state is not waiting and state is not transferring:
                 continue

@@ -3,11 +3,11 @@
 Every protocol-level occurrence — misses, bus grants, timer expiries,
 fills, write-backs, DRAM traffic, back-invalidations, mode switches —
 is published as one structured event on a per-:class:`~repro.sim.
-system.System` :class:`EventBus`.  Statistics (:class:`repro.sim.stats.
-StatsCollector`), the debug tracer (:class:`repro.sim.debug.
-ProtocolTracer`) and the per-layer event counters are all ordinary
-subscribers of this stream; the engine layers never talk to any of them
-directly.
+system.System` :class:`EventBus`.  The debug tracer (:class:`repro.sim.
+debug.ProtocolTracer`), telemetry and the rare-kind statistics
+(:class:`repro.sim.stats.StatsCollector`) are ordinary subscribers of
+this stream, and the bus itself keeps the per-kind event counters; the
+engine layers never talk to a subscriber directly.
 
 Listeners are callables with the signature ``listener(cycle, kind,
 payload)`` where ``payload`` is a plain dict.  A listener may subscribe

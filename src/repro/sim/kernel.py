@@ -22,9 +22,9 @@ provably the next one to run — see :mod:`repro.sim.core` and
 ``docs/performance.md`` for the equivalence argument.
 
 :meth:`EventKernel.run` processes events until the heap drains or a
-handler calls :meth:`EventKernel.stop` — the system stops it when its
-last core finishes, so the loop reads one flag per event instead of
-asking a predicate.  Events still queued at that point never run.
+handler calls :meth:`EventKernel.stop` (the system does when its last
+core finishes); the loop reads one flag per event.  Events still queued
+at that point never run.
 """
 
 from __future__ import annotations
