@@ -23,7 +23,7 @@ DRAM fetches, back-invalidations — is published on the system's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Set, ValuesView
+from typing import TYPE_CHECKING, Dict, Optional, Set, ValuesView
 
 from repro.params import SimConfig
 from repro.sim.dram import FixedLatencyDRAM

@@ -406,12 +406,12 @@ class TestSimulateDiagnostics:
         import repro.cli as cli_mod
         from repro.sim.oracle import CoherenceViolationError
 
-        def exploding(config, traces, **kw):
+        def exploding(system):
             raise CoherenceViolationError(
                 "stale value", core=1, line=64, cycle=123
             )
 
-        monkeypatch.setattr(cli_mod, "run_simulation", exploding)
+        monkeypatch.setattr(cli_mod.System, "run", exploding)
         rc = main(["simulate", "-b", "water", "--scale", "0.25"])
         assert rc == 1
         err = capsys.readouterr().err
@@ -425,10 +425,10 @@ class TestSimulateDiagnostics:
         import repro.cli as cli_mod
         from repro.sim.kernel import SimulationLimitError
 
-        def exploding(config, traces, **kw):
+        def exploding(system):
             raise SimulationLimitError("exceeded 100 cycles")
 
-        monkeypatch.setattr(cli_mod, "run_simulation", exploding)
+        monkeypatch.setattr(cli_mod.System, "run", exploding)
         rc = main(["simulate", "-b", "water", "--scale", "0.25"])
         assert rc == 1
         err = capsys.readouterr().err
